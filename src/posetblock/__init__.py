@@ -31,10 +31,8 @@ from .distribution import (
     ball_volume,
     distribution,
     distribution_chain,
-    distribution_equal_blocks,
     distribution_general,
     distribution_hierarchical,
-    distribution_specialized,
     table_from_json_dict,
     table_to_csv,
     table_to_json,
@@ -62,12 +60,6 @@ from .oracle import (
     oracle_distribution,
     oracle_metric_axioms,
     oracle_perfectness,
-)
-from .partitions import (
-    BoundedPartition,
-    arrangement_count,
-    enumerate_arrangements,
-    enumerate_partitions,
 )
 from .poset import (
     Ideal,

@@ -19,6 +19,7 @@ import sys
 from .codes import construct_I_perfect, is_I_perfect, singleton_report
 from .config import InstanceConfig, load_config
 from .distribution import (
+    METHODS,
     applicable_methods,
     ball_volume,
     distribution,
@@ -28,7 +29,7 @@ from .distribution import (
 )
 from .errors import ConfigError, ExplosionError, PosetBlockError
 from .oracle import oracle_distribution
-from .poset import classify, enumerate_ideals, ideal_closure
+from .poset import IDEAL_CAP_DEFAULT, classify, enumerate_ideals, ideal_closure
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -52,23 +53,34 @@ def _emit(payload, fmt: str, table=None) -> None:
         sys.stdout.write("\n")
 
 
+def _caps(cfg: InstanceConfig, args) -> tuple:
+    """(ideal cap, space cap): a CLI flag wins over the config's "caps".
+
+    0 is a cap like any other; a space cap of None leaves the oracle's
+    default (and its environment override) in force.
+    """
+
+    def pick(flag, key, default):
+        if flag is not None:
+            return flag
+        value = cfg.caps.get(key)
+        return default if value is None else value
+
+    return (
+        pick(args.cap_ideals, "ideals", IDEAL_CAP_DEFAULT),
+        pick(args.cap_space, "space", None),
+    )
+
+
 def _compute_table(cfg: InstanceConfig, method: str, threads: int, args):
-    caps = cfg.caps
+    ideal_cap, space_cap = _caps(cfg, args)
     if method == "oracle":
         res = oracle_distribution(
-            cfg.poset,
-            cfg.pi,
-            cfg.weight,
-            cap=args.cap_space or caps.get("space"),
-            threads=threads,
+            cfg.poset, cfg.pi, cfg.weight, cap=space_cap, threads=threads
         )
         return res.to_table()
     return distribution(
-        cfg.poset,
-        cfg.pi,
-        cfg.weight,
-        method=method,
-        ideal_cap=args.cap_ideals or caps.get("ideals") or 1 << 22,
+        cfg.poset, cfg.pi, cfg.weight, method=method, ideal_cap=ideal_cap
     )
 
 
@@ -115,7 +127,7 @@ def cmd_check_code(cfg: InstanceConfig, args) -> int:
     payload["k"] = cfg.code.k
     # ideals meeting the covering condition sum(k_i) = N - k; with equal
     # blocks of size s these are exactly the ideals of cardinality n - k/s
-    family = enumerate_ideals(cfg.poset)
+    family = enumerate_ideals(cfg.poset, cap=_caps(cfg, args)[0])
     verdicts = []
     for ideal in family.ideals:
         if sum(cfg.pi.k[i - 1] for i in ideal.members) == cfg.pi.N - cfg.code.k:
@@ -132,17 +144,11 @@ def cmd_check_code(cfg: InstanceConfig, args) -> int:
 
 def cmd_oracle_compare(cfg: InstanceConfig, args) -> int:
     threads = _auto_threads(args.threads)
-    oracle_table = oracle_distribution(
-        cfg.poset,
-        cfg.pi,
-        cfg.weight,
-        cap=args.cap_space or cfg.caps.get("space"),
-        threads=threads,
-    ).to_table()
+    oracle_table = _compute_table(cfg, "oracle", threads, args)
     corrupt = os.environ.get(CORRUPT_ENV)
     tables = {"oracle": oracle_table}
     for method in applicable_methods(cfg.poset, cfg.pi):
-        table = distribution(cfg.poset, cfg.pi, cfg.weight, method=method)
+        table = _compute_table(cfg, method, threads, args)
         if corrupt == method:
             bumped = list(table.counts)
             bumped[min(1, len(bumped) - 1)] += 1
@@ -231,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default=None)
         p.add_argument(
             "--method",
-            choices=("auto", "general", "equal", "hierarchical", "chain", "oracle"),
+            choices=METHODS + ("oracle",),
             default=None,
         )
         p.add_argument("--radius", type=int, default=None)

@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass
 
 from .codes import LinearCode, linear_code
+from .distribution import METHODS
 from .errors import ConfigError, PosetBlockError
 from .poset import Poset, poset_from_json
 from .space import LabelMap, label_map
@@ -57,9 +58,7 @@ def parse_config(obj: dict) -> InstanceConfig:
                     raise ConfigError(f"ideal element {v} outside [1, {poset.n}]")
         caps = dict(obj.get("caps", {}))
         method = obj.get("method")
-        if method is not None and method not in (
-            "auto", "general", "equal", "hierarchical", "chain", "oracle"
-        ):
+        if method is not None and method not in METHODS + ("oracle",):
             raise ConfigError(f"unknown method {method!r}")
         fmt = obj.get("format")
         if fmt is not None and fmt not in ("json", "csv"):

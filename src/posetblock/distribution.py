@@ -1,16 +1,18 @@
 """Complete weight distributions |A_r| and ball volumes of a (P,w,pi)-space.
 
-The general method sums, over every nonempty ideal I with j maximal and
-c non-maximal elements, the contributions of all partitions of r - c*M_w
-into exactly j bounded parts and all arrangements of each partition: the
-arrangement tuple is applied positionally to Max(I) sorted by ascending
-label, each position contributing the block class size |D_b^{k_i}|, and
-the non-maximal elements contribute a factor q^(sum of their k_l).
+Every counting route works with the block class polynomials
+D_k(x) = sum_{b=1}^{M_w} |D_b^k| x^b.  A nonempty ideal I with c
+non-maximal elements contributes x^(c*M_w) * q^(sum of k_l over the
+non-maximals) * prod_{i in Max I} D_{k_i}(x) to sum_r |A_r| x^r; the
+paper's sum over the partitions of r - c*M_w into |Max I| parts in
+[1, M_w], each part placed on every maximal element in every distinct
+order, is exactly the coefficient extraction of this product.
 
-Fast paths (equal blocks, hierarchical posets, chains, and the four
-classical specializations) compute the same table without arrangement
-enumeration or without global ideal enumeration; every path must agree
-exactly with every other applicable path and with the brute oracle.
+The general method sums these products over the ideal lattice.  The
+hierarchical method uses the level form of the hierarchical theorem and
+enumerates no ideals, and the chain method is the paper's chain closed
+form.  Every method must agree exactly with every other applicable method
+and with the brute oracle.
 """
 
 from __future__ import annotations
@@ -18,16 +20,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations
-from math import comb
 
 from .errors import BoundsError, PreconditionError
-from .partitions import (
-    ARRANGEMENT_CAP_DEFAULT,
-    enumerate_arrangements,
-    partitions_by_count,
-)
 from .poset import (
     IDEAL_CAP_DEFAULT,
     Poset,
@@ -96,122 +92,92 @@ def _table(P, pi, W, counts, method) -> DistributionTable:
     )
 
 
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two coefficient lists (index = exponent of x)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _class_poly(W: WeightModel, k: int, constant: int = 0) -> list[int]:
+    """constant + D_k(x) as a coefficient list."""
+    return [constant] + [block_class_size(W, b, k) for b in range(1, W.M_w + 1)]
+
+
 def distribution_general(
     P: Poset,
     pi: LabelMap,
     W: WeightModel,
     *,
     ideal_cap: int = IDEAL_CAP_DEFAULT,
-    arrangement_cap: int = ARRANGEMENT_CAP_DEFAULT,
 ) -> DistributionTable:
-    """The full ideal/partition/arrangement sum; works for every instance."""
+    """The ideal sum of block class polynomial products; works for every instance.
+
+    Ideals with the same (c, sum of k over the non-maximals, maximal count
+    per block length) contribute the same term, so each distinct product
+    of powers D_k(x)^e is formed once.
+    """
     _check_dims(P, pi)
     q, M_w, n = W.q, W.M_w, pi.n
+    lengths = sorted(set(pi.k))
+    masks = [sum(1 << i for i in range(n) if pi.k[i] == k) for k in lengths]
+    groups: Counter = Counter()
+    for ideal in enumerate_ideals(P, cap=ideal_cap).ideals:
+        below = ideal.members_mask & ~ideal.max_mask
+        exp = sum(k * (below & m).bit_count() for k, m in zip(lengths, masks))
+        tops = tuple((ideal.max_mask & m).bit_count() for m in masks)
+        groups[below.bit_count(), exp, tops] += 1
+    # powers[t][e] = D_{lengths[t]}(x)^e
+    powers = []
+    for t, k in enumerate(lengths):
+        D = _class_poly(W, k)
+        row = [[1]]
+        for _ in range(max(key[2][t] for key in groups)):
+            row.append(_poly_mul(row[-1], D))
+        powers.append(row)
+    products: dict = {}
     counts = [0] * (n * M_w + 1)
-    counts[0] = 1
-    family = enumerate_ideals(P, cap=ideal_cap)
-    for ideal in family.ideals:
-        j = ideal.max_count
-        if j == 0:
-            continue
-        c = ideal.card - j
-        base = q ** sum(pi.k[l - 1] for l in ideal.non_maximals)
-        max_ks = [pi.k[i - 1] for i in ideal.maximals]  # ascending labels
-        for target in range(j, j * M_w + 1):
-            parts = partitions_by_count(target, M_w, n).get(j, ())
-            if not parts:
-                continue
-            contribution = 0
-            for b in parts:
-                for arr in enumerate_arrangements(b, cap=arrangement_cap):
-                    prod = 1
-                    for part, k in zip(arr, max_ks):
-                        prod *= block_class_size(W, part, k)
-                    contribution += prod
-            counts[target + c * M_w] += contribution * base
+    for (c, exp, tops), mult in groups.items():
+        if tops not in products:
+            poly = [1]
+            for t, e in enumerate(tops):
+                poly = _poly_mul(poly, powers[t][e])
+            products[tops] = poly
+        scale = mult * q**exp
+        for b, coeff in enumerate(products[tops]):
+            counts[c * M_w + b] += scale * coeff
     return _table(P, pi, W, counts, "general")
 
 
-def _grouped_partition_term(W: WeightModel, b, k: int, j: int) -> int:
-    """Product |D_{t_s}^k|^{r_s} * C(j - r_1 - ... - r_{s-1}, r_s) over distinct parts."""
-    term = 1
-    left = j
-    for value, count in b.multiplicities():
-        term *= block_class_size(W, value, k) ** count * comb(left, count)
-        left -= count
-    return term
-
-
-def distribution_equal_blocks(
-    P: Poset,
-    pi: LabelMap,
-    W: WeightModel,
-    *,
-    ideal_cap: int = IDEAL_CAP_DEFAULT,
-) -> DistributionTable:
-    """Equal-block fast path: no arrangement enumeration, ideals only by (i, j)."""
-    _check_dims(P, pi)
-    ks = set(pi.k)
-    if len(ks) != 1:
-        raise PreconditionError(f"blocks are not all equal: {pi.k}")
-    k = pi.k[0]
-    q, M_w, n = W.q, W.M_w, pi.n
-    counts = [0] * (n * M_w + 1)
-    counts[0] = 1
-    family = enumerate_ideals(P, cap=ideal_cap)
-    for (card, j), group in family.by_card_and_max.items():
-        if j == 0:
-            continue
-        c = card - j
-        base = len(group) * q ** (k * c)
-        for target in range(j, j * M_w + 1):
-            parts = partitions_by_count(target, M_w, n).get(j, ())
-            if not parts:
-                continue
-            contribution = sum(_grouped_partition_term(W, b, k, j) for b in parts)
-            counts[target + c * M_w] += contribution * base
-    return _table(P, pi, W, counts, "equal")
-
-
 def distribution_hierarchical(
-    P: Poset,
-    pi: LabelMap,
-    W: WeightModel,
-    *,
-    arrangement_cap: int = ARRANGEMENT_CAP_DEFAULT,
+    P: Poset, pi: LabelMap, W: WeightModel
 ) -> DistributionTable:
-    """Level-by-level fast path for hierarchical posets.
+    """Level form of the hierarchical theorem; enumerates no ideals.
 
-    An ideal with maximals in level j is the union of all lower levels with
-    a nonempty subset of level j, so the sum runs over level subsets and
-    never enumerates the global ideal lattice.
+    A nonempty ideal is every lower level plus a nonempty subset S of one
+    level, with S its maximal elements, so a level L above t elements of
+    total block length K contributes
+    q^K * x^(t*M_w) * (prod_{i in L} (1 + D_{k_i}(x)) - 1).
     """
     _check_dims(P, pi)
     cls = classify(P)
     if not cls.is_hierarchical:
         raise PreconditionError("poset is not hierarchical")
-    q, M_w, n = W.q, W.M_w, pi.n
-    counts = [0] * (n * M_w + 1)
+    q, M_w = W.q, W.M_w
+    counts = [0] * (pi.n * M_w + 1)
     counts[0] = 1
     below_exp = 0  # sum of k_i over all levels below the current one
-    t_prefix = 0  # number of elements in lower levels = forced non-maximals
+    t_prefix = 0  # number of elements in lower levels
     for level in cls.levels.levels:
+        poly = [1]
+        for i in level:
+            poly = _poly_mul(poly, _class_poly(W, pi.k[i - 1], constant=1))
         base = q**below_exp
-        for l in range(1, len(level) + 1):
-            for subset in combinations(level, l):
-                sub_ks = [pi.k[i - 1] for i in subset]
-                for target in range(l, l * M_w + 1):
-                    parts = partitions_by_count(target, M_w, n).get(l, ())
-                    if not parts:
-                        continue
-                    contribution = 0
-                    for b in parts:
-                        for arr in enumerate_arrangements(b, cap=arrangement_cap):
-                            prod = 1
-                            for part, k in zip(arr, sub_ks):
-                                prod *= block_class_size(W, part, k)
-                            contribution += prod
-                    counts[t_prefix * M_w + target] += contribution * base
+        for b in range(1, len(poly)):
+            counts[t_prefix * M_w + b] += poly[b] * base
         below_exp += sum(pi.k[i - 1] for i in level)
         t_prefix += len(level)
     return _table(P, pi, W, counts, "hierarchical")
@@ -233,89 +199,8 @@ def distribution_chain(P: Poset, pi: LabelMap, W: WeightModel) -> DistributionTa
     return _table(P, pi, W, counts, "chain")
 
 
-def _require_hamming(W: WeightModel) -> None:
-    if W.table != (0,) + (1,) * (W.q - 1):
-        raise PreconditionError("this specialization requires the Hamming weight")
-
-
-def distribution_specialized(
-    kind: str,
-    P: Poset,
-    pi: LabelMap,
-    W: WeightModel,
-    *,
-    ideal_cap: int = IDEAL_CAP_DEFAULT,
-) -> DistributionTable:
-    """Closed forms for the four classical specializations.
-
-    pw : all k_i = 1 (weighted coordinates, no blocks)
-    ppi: Hamming weight (poset block space)
-    pi : Hamming weight on an antichain (block space)
-    p  : Hamming weight and all k_i = 1 (poset space)
-    """
-    _check_dims(P, pi)
-    q, n = W.q, pi.n
-    if kind == "pw":
-        if set(pi.k) != {1}:
-            raise PreconditionError("pw-space requires all block lengths 1")
-        counts = [0] * (n * W.M_w + 1)
-        counts[0] = 1
-        family = enumerate_ideals(P, cap=ideal_cap)
-        for (card, j), group in family.by_card_and_max.items():
-            if j == 0:
-                continue
-            c = card - j
-            base = len(group) * q**c
-            for target in range(j, j * W.M_w + 1):
-                parts = partitions_by_count(target, W.M_w, n).get(j, ())
-                contribution = sum(
-                    _grouped_partition_term(W, b, 1, j) for b in parts
-                )
-                counts[target + c * W.M_w] += contribution * base
-        return _table(P, pi, W, counts, "specialization:pw")
-    if kind == "ppi":
-        _require_hamming(W)
-        counts = [0] * (n + 1)
-        counts[0] = 1
-        family = enumerate_ideals(P, cap=ideal_cap)
-        for ideal in family.ideals:
-            if ideal.card == 0:
-                continue
-            term = 1
-            for i in ideal.maximals:
-                term *= q ** pi.k[i - 1] - 1
-            term *= q ** sum(pi.k[l - 1] for l in ideal.non_maximals)
-            counts[ideal.card] += term
-        return _table(P, pi, W, counts, "specialization:ppi")
-    if kind == "pi":
-        _require_hamming(W)
-        if not classify(P).is_antichain:
-            raise PreconditionError("pi-space requires an antichain")
-        # elementary symmetric polynomial in the (q^{k_i} - 1)
-        coeffs = [1]
-        for k in pi.k:
-            factor = q**k - 1
-            coeffs = [
-                (coeffs[r] if r < len(coeffs) else 0)
-                + (coeffs[r - 1] * factor if r > 0 else 0)
-                for r in range(len(coeffs) + 1)
-            ]
-        return _table(P, pi, W, coeffs, "specialization:pi")
-    if kind == "p":
-        _require_hamming(W)
-        if set(pi.k) != {1}:
-            raise PreconditionError("p-space requires all block lengths 1")
-        counts = [0] * (n + 1)
-        counts[0] = 1
-        family = enumerate_ideals(P, cap=ideal_cap)
-        for (card, j), group in family.by_card_and_max.items():
-            if j == 0:
-                continue
-            counts[card] += len(group) * (q - 1) ** j * q ** (card - j)
-        return _table(P, pi, W, counts, "specialization:p")
-    raise PreconditionError(f"unknown specialization kind {kind!r}")
-
-
+# "equal" is accepted as another name of the general method, so that
+# configs naming it still parse and run.
 METHODS = ("auto", "general", "equal", "hierarchical", "chain")
 
 
@@ -326,38 +211,29 @@ def distribution(
     *,
     method: str = "auto",
     ideal_cap: int = IDEAL_CAP_DEFAULT,
-    arrangement_cap: int = ARRANGEMENT_CAP_DEFAULT,
 ) -> DistributionTable:
-    """Dispatch: auto picks chain, then hierarchical, then equal, then general."""
+    """Dispatch: auto picks chain, then hierarchical, then general."""
     if method == "auto":
         cls = classify(P)
         if cls.is_chain:
             method = "chain"
         elif cls.is_hierarchical:
             method = "hierarchical"
-        elif len(set(pi.k)) == 1:
-            method = "equal"
         else:
             method = "general"
-    if method == "general":
-        return distribution_general(
-            P, pi, W, ideal_cap=ideal_cap, arrangement_cap=arrangement_cap
-        )
-    if method == "equal":
-        return distribution_equal_blocks(P, pi, W, ideal_cap=ideal_cap)
+    if method in ("general", "equal"):
+        return distribution_general(P, pi, W, ideal_cap=ideal_cap)
     if method == "hierarchical":
-        return distribution_hierarchical(P, pi, W, arrangement_cap=arrangement_cap)
+        return distribution_hierarchical(P, pi, W)
     if method == "chain":
         return distribution_chain(P, pi, W)
     raise PreconditionError(f"unknown method {method!r}")
 
 
 def applicable_methods(P: Poset, pi: LabelMap) -> list[str]:
-    """Closed-form methods whose preconditions hold for this instance."""
+    """Counting methods whose preconditions hold for this instance."""
     cls = classify(P)
     out = ["general"]
-    if len(set(pi.k)) == 1:
-        out.append("equal")
     if cls.is_hierarchical:
         out.append("hierarchical")
     if cls.is_chain:

@@ -124,8 +124,7 @@ class IdealFamily:
 
     by_card_and_max[(i, j)] lists the ideals of cardinality i with j maximal
     elements; the empty ideal sits under (0, 0).  Ideals are ordered by
-    ascending members bitmask everywhere, which fixes the pairing with
-    arrangement tuples in the distribution sums.
+    ascending members bitmask everywhere.
     """
 
     poset: Poset

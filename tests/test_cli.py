@@ -160,6 +160,59 @@ def test_oracle_compare_over_cap(tmp_path, capsys):
     assert "cap" in err
 
 
+# q^N = 3^4 fits the oracle; 1 <= 2 on [4] is neither a chain nor
+# hierarchical, so every table goes through the ideal enumeration
+SMALL_GENERAL = {
+    "q": 3,
+    "poset": {"n": 4, "relations": [[1, 2]]},
+    "pi": [1, 1, 1, 1],
+    "weight": "lee",
+}
+
+
+def _write(tmp_path, cfg):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_oracle_compare_honours_cap_ideals_flag(tmp_path, capsys):
+    path = _write(tmp_path, SMALL_GENERAL)
+    assert run(capsys, "oracle-compare", "--config", path)[0] == 0
+    code, _, err = run(capsys, "oracle-compare", "--config", path, "--cap-ideals", "2")
+    assert code == 3
+    assert "cap 2" in err
+
+
+def test_oracle_compare_honours_config_ideal_cap(tmp_path, capsys):
+    path = _write(tmp_path, dict(SMALL_GENERAL, caps={"ideals": 2}))
+    code, _, err = run(capsys, "oracle-compare", "--config", path)
+    assert code == 3
+    assert "cap 2" in err
+
+
+def test_cap_ideals_zero_is_a_cap(tmp_path, capsys):
+    path = _write(tmp_path, SMALL_GENERAL)
+    code, _, err = run(capsys, "distribution", "--config", path, "--cap-ideals", "0")
+    assert code == 3
+    assert "cap 0" in err
+    # a flag wins over the config, 0 included
+    path = _write(tmp_path, dict(SMALL_GENERAL, caps={"ideals": 100}))
+    assert run(capsys, "distribution", "--config", path, "--cap-ideals", "0")[0] == 3
+
+
+def test_cap_space_zero_is_a_cap(tmp_path, capsys):
+    path = _write(tmp_path, SMALL_GENERAL)
+    code, _, err = run(capsys, "distribution", "--config", path,
+                       "--method", "oracle", "--cap-space", "0")
+    assert code == 3
+    assert "space cap 0" in err
+    path = _write(tmp_path, dict(SMALL_GENERAL, caps={"space": 0}))
+    code, _, err = run(capsys, "oracle-compare", "--config", path)
+    assert code == 3
+    assert "space cap 0" in err
+
+
 def test_construct(tmp_path, capsys):
     cfg = {
         "q": 7,

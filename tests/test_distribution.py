@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from math import comb
 
 import pytest
@@ -37,14 +38,14 @@ def test_small_chain_oracle_frozen():
 
 
 def test_equal_blocks_matches_general():
+    # "equal" is an accepted name for the general method
     W = pb.lee_weight(5)
     P = pb.build_poset(4, [(1, 3), (2, 3)])
     pi = pb.label_map([2, 2, 2, 2])
     general = pb.distribution_general(P, pi, W)
-    equal = pb.distribution_equal_blocks(P, pi, W)
-    assert equal.counts == general.counts
-    with pytest.raises(pb.PreconditionError):
-        pb.distribution_equal_blocks(P, pb.label_map([1, 2, 2, 2]), W)
+    equal = pb.distribution(P, pi, W, method="equal")
+    assert equal.method == "general" and equal.counts == general.counts
+    assert general.counts == pb.oracle_distribution(P, pi, W).to_table().counts
 
 
 def test_equal_blocks_top_count():
@@ -52,17 +53,18 @@ def test_equal_blocks_top_count():
     W = pb.lee_weight(5)
     P = pb.build_poset(4, [(1, 3), (2, 3)])  # maximal elements: 3, 4
     pi = pb.label_map([2, 2, 2, 2])
-    table = pb.distribution_equal_blocks(P, pi, W)
+    table = pb.distribution(P, pi, W)
     t = 2
     assert table.counts[-1] == (5**2 - (5 - 2) ** 2) ** t * 5 ** (2 * (4 - t))
 
 
 def test_antichain_hamming_binomials():
     q, n, k = 3, 4, 2
-    table = pb.distribution_equal_blocks(antichain(n), pb.label_map([k] * n),
-                                         pb.hamming_weight(q))
-    for r in range(n + 1):
-        assert table.counts[r] == comb(n, r) * (q**k - 1) ** r
+    args = antichain(n), pb.label_map([k] * n), pb.hamming_weight(q)
+    for method in ("general", "hierarchical"):
+        table = pb.distribution(*args, method=method)
+        for r in range(n + 1):
+            assert table.counts[r] == comb(n, r) * (q**k - 1) ** r
 
 
 def test_hierarchical_matches_general():
@@ -136,50 +138,54 @@ def test_chain_unit_blocks_formula():
 
 
 def test_specialized_pw_equals_general():
+    # pw-space: unit blocks under a non-Hamming weight, checked by the oracle
     rng = random.Random(31)
     W = pb.custom_weight(5, [0, 1, 2, 2, 1])
     for _ in range(5):
         P = random_poset(5, rng)
         pi = pb.label_map([1] * 5)
-        assert pb.distribution_specialized("pw", P, pi, W).counts == \
-            pb.distribution_general(P, pi, W).counts
-    with pytest.raises(pb.PreconditionError):
-        pb.distribution_specialized("pw", P, pb.label_map([2] * 5), W)
+        oracle = pb.oracle_distribution(P, pi, W).to_table().counts
+        assert pb.distribution_general(P, pi, W).counts == oracle
+        assert pb.distribution(P, pi, W).counts == oracle
 
 
 def test_specialized_ppi_equals_general():
+    # ppi-space (Hamming weight): |A_r| = sum over ideals I with |I| = r of
+    # prod_{i in Max I} (q^{k_i} - 1) * q^(sum of k_l over I \ Max I)
     rng = random.Random(37)
+    q = 3
+    W = pb.hamming_weight(q)
     for _ in range(5):
         P = random_poset(4, rng)
         pi = pb.label_map([rng.randint(1, 3) for _ in range(4)])
-        W = pb.hamming_weight(3)
-        assert pb.distribution_specialized("ppi", P, pi, W).counts == \
-            pb.distribution_general(P, pi, W).counts
-    with pytest.raises(pb.PreconditionError):
-        pb.distribution_specialized("ppi", P, pi, pb.lee_weight(7))
+        expected = [0] * 5
+        for ideal in pb.enumerate_ideals(P).ideals:
+            term = q ** sum(pi.k[l - 1] for l in ideal.non_maximals)
+            for i in ideal.maximals:
+                term *= q ** pi.k[i - 1] - 1
+            expected[ideal.card] += term
+        assert pb.distribution_general(P, pi, W).counts == tuple(expected)
+        assert pb.distribution(P, pi, W).counts == tuple(expected)
 
 
 def test_specialized_pi_space():
+    # pi-space (antichain, Hamming weight): |A_r| = C(n, r) (q^k - 1)^r
     q, n, k = 2, 3, 2
-    table = pb.distribution_specialized(
-        "pi", antichain(n), pb.label_map([k] * n), pb.hamming_weight(q)
-    )
-    assert table.counts == tuple(comb(n, r) * 3**r for r in range(n + 1))
-    with pytest.raises(pb.PreconditionError):
-        pb.distribution_specialized("pi", chain(3), pb.label_map([k] * 3),
-                                    pb.hamming_weight(q))
+    args = antichain(n), pb.label_map([k] * n), pb.hamming_weight(q)
+    expected = tuple(comb(n, r) * 3**r for r in range(n + 1))
+    for method in ("general", "hierarchical"):
+        assert pb.distribution(*args, method=method).counts == expected
+    assert pb.oracle_distribution(*args).to_table().counts == expected
 
 
 def test_specialized_p_space():
+    # p-space (chain, unit blocks, Hamming weight): |A_r| = q^(r-1) (q - 1)
     q, n = 3, 4
-    table = pb.distribution_specialized(
-        "p", chain(n), pb.label_map([1] * n), pb.hamming_weight(q)
-    )
-    assert table.counts == (1,) + tuple(q ** (r - 1) * (q - 1) for r in range(1, n + 1))
-    # pw with Hamming collapses to the p table
-    assert pb.distribution_specialized(
-        "pw", chain(n), pb.label_map([1] * n), pb.hamming_weight(q)
-    ).counts == table.counts
+    args = chain(n), pb.label_map([1] * n), pb.hamming_weight(q)
+    expected = (1,) + tuple(q ** (r - 1) * (q - 1) for r in range(1, n + 1))
+    for method in pb.applicable_methods(*args[:2]):
+        assert pb.distribution(*args, method=method).counts == expected
+    assert pb.oracle_distribution(*args).to_table().counts == expected
 
 
 def test_ball_volume(ex45):
@@ -211,7 +217,7 @@ def test_method_dispatch(ex45):
     assert pb.distribution(chain(3), pb.label_map([1, 2, 1]), W).method == "chain"
     assert pb.distribution(antichain(3), pb.label_map([1, 2, 1]), W).method == "hierarchical"
     P4 = pb.build_poset(4, [(1, 3), (2, 3)])
-    assert pb.distribution(P4, pb.label_map([2] * 4), pb.lee_weight(3)).method == "equal"
+    assert pb.distribution(P4, pb.label_map([2] * 4), pb.lee_weight(3)).method == "general"
     forced = pb.distribution(chain(3), pb.label_map([1, 2, 1]), W, method="general")
     assert forced.method == "general"
     assert forced.counts == pb.distribution_chain(chain(3), pb.label_map([1, 2, 1]), W).counts
@@ -268,13 +274,38 @@ def test_three_level_hierarchical_vs_general_and_oracle():
 
 
 def test_arrangement_cap_propagates():
+    # the ideal cap reaches the enumeration through both entry points
     P = pb.build_poset(8, [])
     pi = pb.label_map([1] * 8)
     W = pb.lee_weight(7)
     with pytest.raises(pb.ExplosionError):
-        pb.distribution_general(P, pi, W, arrangement_cap=2)
-    with pytest.raises(pb.ExplosionError):
         pb.distribution_general(P, pi, W, ideal_cap=10)
+    with pytest.raises(pb.ExplosionError):
+        pb.distribution(P, pi, W, method="general", ideal_cap=10)
+
+
+def _timed(fn):
+    start = time.perf_counter()
+    table = fn()
+    return table, time.perf_counter() - start
+
+
+def test_ex45_q101_general_under_a_second(ex45):
+    # M_w = 50: about 110 s through the former partition and arrangement sum
+    P, pi, _ = ex45
+    table, seconds = _timed(
+        lambda: pb.distribution(P, pi, pb.lee_weight(101), method="general"))
+    assert table.check_normalization()
+    assert seconds < 1.0
+
+
+def test_mixed_block_antichain_n20_auto_under_a_second():
+    # 2^20 ideals; auto takes the level form, which enumerates none
+    pi = pb.label_map([1 + i % 3 for i in range(20)])
+    table, seconds = _timed(
+        lambda: pb.distribution(antichain(20), pi, pb.lee_weight(7)))
+    assert table.method == "hierarchical" and table.check_normalization()
+    assert seconds < 1.0
 
 
 def test_json_and_csv_serialization(ex45):
