@@ -177,7 +177,8 @@ def is_I_perfect(
     """Covering condition sum(k_i, i in I) = N - k plus packing |B_I(0) & C| = 1.
 
     With debug=True (and P, W given) the equivalent partition condition is
-    re-checked by the oracle's exhaustive sweep; disagreement is a bug.
+    re-checked by the oracle's per-class count, under the same codeword
+    cap; disagreement is a bug.
     """
     if C.n_cols != pi.N:
         raise DimensionError(f"code length {C.n_cols} != N = {pi.N}")
@@ -191,7 +192,7 @@ def is_I_perfect(
     if debug:
         if P is None or W is None:
             raise BoundsError("debug check needs P and W")
-        res = oracle_perfectness(C, P, pi, W, ideal=I)
+        res = oracle_perfectness(C, P, pi, W, ideal=I, codeword_cap=cap)
         if (res.disjoint and res.covering) != verdict:
             raise ConsistencyError(
                 f"I-perfect mismatch: conditions say {verdict}, sweep says "

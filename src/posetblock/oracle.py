@@ -4,8 +4,15 @@ Every vector index in [0, q^N) is processed in odometer order (last
 coordinate fastest), in contiguous chunks.  Per-block weight lookup tables
 are built by brute enumeration of each block's q^k_i values; a vector's
 weight is then computed from its block-weight profile by the definitional
-closure/maximals rule.  Nothing here touches the ideal/partition counting
-machinery, so agreement with the closed forms is a real theorem check.
+closure/maximals rule.  One kernel does this weighing for every sweep.
+Nothing here touches the ideal/partition counting machinery, so agreement
+with the closed forms is a real theorem check.
+
+Perfectness verdicts count per class instead of per codeword, using only
+the linearity of the code: a vector's number of r-balls is the number of
+ball vectors in its coset, counted in one sweep keyed by coset
+representative; its number of I-balls is the number of codewords that
+agree with it outside I, one count over the codewords.
 """
 
 from __future__ import annotations
@@ -27,13 +34,17 @@ from .weights import WeightModel
 SPACE_CAP_DEFAULT = 10**7
 SPACE_CAP_ENV = "POSETBLOCK_CAP_SPACE"
 _CHUNK = 1 << 18
+_INDEX_MAX = 2**63 - 1
 
 
 def space_cap(override: int | None = None) -> int:
+    """The configured space cap, clamped to 2^63 - 1: sweeps index vectors in int64."""
     if override is not None:
-        return override
-    env = os.environ.get(SPACE_CAP_ENV)
-    return int(env) if env else SPACE_CAP_DEFAULT
+        limit = override
+    else:
+        env = os.environ.get(SPACE_CAP_ENV)
+        limit = int(env) if env else SPACE_CAP_DEFAULT
+    return min(limit, _INDEX_MAX)
 
 
 @dataclass(frozen=True)
@@ -143,12 +154,66 @@ def _index_places(pi: LabelMap, q: int) -> tuple[list[int], list[int]]:
     return sizes, places
 
 
+def _ranges(total: int) -> list[tuple[int, int]]:
+    return [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
+
+
 def _check_cap(q: int, N: int, cap: int | None) -> int:
     total = q**N
     limit = space_cap(cap)
     if total > limit:
-        raise ExplosionError(f"q^N = {total} exceeds space cap {limit}")
+        why = " (the largest int64 vector index)" if limit == _INDEX_MAX else ""
+        raise ExplosionError(f"q^N = {total} exceeds space cap {limit}{why}")
     return total
+
+
+def _weigher(P: Poset, pi: LabelMap, W: WeightModel):
+    """The one weight kernel: weigh(lo, hi) gives the weights of the vectors
+    with index in [lo, hi).
+
+    Vectors are keyed by their block-weight profile, and the definitional
+    weight is computed once per profile: for all profiles up front when
+    there are at most a chunk of them, else once per distinct profile in
+    each range.
+    """
+    bw_tables = _block_weight_tables(pi, W)
+    sizes, places = _index_places(pi, W.q)
+    # rank-compress block weights so profile keys fit comfortably in int64;
+    # key_tables[i] maps a block code straight to its term of the key
+    attained = [np.unique(bw) for bw in bw_tables]
+    radices = [len(att) for att in attained]
+    key_places = [1] * pi.n
+    for i in range(pi.n - 2, -1, -1):
+        key_places[i] = key_places[i + 1] * radices[i + 1]
+    key_tables = [
+        np.searchsorted(att, bw).astype(np.int64) * kp
+        for att, bw, kp in zip(attained, bw_tables, key_places)
+    ]
+    leq, strict = _order_matrices(P)
+
+    def profiles(lo: int, hi: int) -> np.ndarray:
+        idx = np.arange(lo, hi, dtype=np.int64)
+        key = np.zeros(hi - lo, dtype=np.int64)
+        for i in range(pi.n):
+            key += key_tables[i][(idx // places[i]) % sizes[i]]
+        return key
+
+    def profile_weights(keys: np.ndarray) -> np.ndarray:
+        wmat = np.empty((len(keys), pi.n), dtype=np.int64)
+        for i in range(pi.n):
+            wmat[:, i] = attained[i][(keys // key_places[i]) % radices[i]]
+        return _weights_from_block_weights(leq, strict, W.M_w, wmat)
+
+    n_profiles = key_places[0] * radices[0]
+    if n_profiles <= _CHUNK:
+        table = profile_weights(np.arange(n_profiles, dtype=np.int64))
+        return lambda lo, hi: table[profiles(lo, hi)]
+
+    def weigh(lo: int, hi: int) -> np.ndarray:
+        ukeys, inverse = np.unique(profiles(lo, hi), return_inverse=True)
+        return profile_weights(ukeys)[inverse]
+
+    return weigh
 
 
 def oracle_distribution(
@@ -165,36 +230,13 @@ def oracle_distribution(
     q = W.q
     total = _check_cap(q, pi.N, cap)
     start = time.monotonic()
-    bw_tables = _block_weight_tables(pi, W)
-    sizes, places = _index_places(pi, q)
-    # rank-compress block weights so profile keys fit comfortably in int64
-    attained = [np.unique(bw) for bw in bw_tables]
-    rank_tables = [
-        np.searchsorted(att, bw).astype(np.int64)
-        for att, bw in zip(attained, bw_tables)
-    ]
-    radices = [len(att) for att in attained]
-    key_places = [1] * pi.n
-    for i in range(pi.n - 2, -1, -1):
-        key_places[i] = key_places[i + 1] * radices[i + 1]
-    leq, strict = _order_matrices(P)
+    weigh = _weigher(P, pi, W)
     max_weight = pi.n * W.M_w
 
     def sweep(lo: int, hi: int) -> np.ndarray:
-        idx = np.arange(lo, hi, dtype=np.int64)
-        key = np.zeros(hi - lo, dtype=np.int64)
-        for i in range(pi.n):
-            code = (idx // places[i]) % sizes[i]
-            key += rank_tables[i][code] * key_places[i]
-        ukeys, inverse = np.unique(key, return_inverse=True)
-        wmat = np.empty((len(ukeys), pi.n), dtype=np.int64)
-        rest = ukeys
-        for i in range(pi.n):
-            wmat[:, i] = attained[i][(rest // key_places[i]) % radices[i]]
-        uweights = _weights_from_block_weights(leq, strict, W.M_w, wmat)
-        return np.bincount(uweights[inverse], minlength=max_weight + 1)
+        return np.bincount(weigh(lo, hi), minlength=max_weight + 1)
 
-    ranges = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
+    ranges = _ranges(total)
     hist = np.zeros(max_weight + 1, dtype=np.int64)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -216,23 +258,55 @@ def oracle_distribution(
     )
 
 
-def _codeword_matrix(code, pi: LabelMap) -> np.ndarray:
-    from .codes import codewords
+def _outside_key_counts(code, pi: LabelMap, q: int, ideal, codeword_cap):
+    """(max, min) over the values of the blocks outside the ideal of the
+    number of codewords taking that value."""
+    from .codes import CODEWORD_CAP_DEFAULT, codewords
 
-    words = codewords(code)
-    if len(words[0]) != pi.N:
-        raise BoundsError("code length differs from label map N")
-    return np.array(words, dtype=np.int64)
-
-
-def _block_codes_of_rows(rows: np.ndarray, pi: LabelMap, q: int) -> np.ndarray:
-    """(S, n) matrix of per-block base-q codes for flat symbol rows."""
-    out = np.zeros((rows.shape[0], pi.n), dtype=np.int64)
+    cap = CODEWORD_CAP_DEFAULT if codeword_cap is None else codeword_cap
+    words = np.array(codewords(code, cap=cap), dtype=np.int64)
+    key = np.zeros(len(words), dtype=np.int64)
+    width = 0
     for i in range(pi.n):
-        sl = pi.block_slice(i + 1)
-        for pos in range(sl.start, sl.stop):
-            out[:, i] = out[:, i] * q + rows[:, pos]
-    return out
+        if not (ideal.members_mask >> i) & 1:
+            sl = pi.block_slice(i + 1)
+            for pos in range(sl.start, sl.stop):
+                key = key * q + words[:, pos]
+            width += pi.k[i]
+    values, counts = np.unique(key, return_counts=True)
+    # a value no codeword takes has multiplicity 0
+    return int(counts.max()), (int(counts.min()) if len(values) == q**width else 0)
+
+
+def _coset_ball_counts(code, weigh, q: int, N: int, radius: int):
+    """(max, min) over the cosets of C of the number of vectors of weight <= radius.
+
+    A ball vector u is keyed by the representative of u + C that is zero on
+    the pivot columns of the reduced generator G: u - u[pivots] G, read as a
+    base-q number over the free columns.
+    """
+    from .codes import _rref
+
+    G, pivots = _rref([list(r) for r in code.generator], q, N)
+    total = q**N
+    place = [q ** (N - 1 - c) for c in range(N)]
+    if not pivots:
+        # the zero code: each coset is one vector, 0 among the ball vectors
+        inside = sum(int((weigh(lo, hi) <= radius).sum()) for lo, hi in _ranges(total))
+        return 1, int(inside == total)
+    free = [c for c in range(N) if c not in pivots]
+    counts = np.zeros(q ** len(free), dtype=np.int64)
+    for lo, hi in _ranges(total):
+        idx = lo + np.flatnonzero(weigh(lo, hi) <= radius)
+        key = np.zeros(len(idx), dtype=np.int64)
+        for f in free:
+            sym = (idx // place[f]) % q
+            for row, p in zip(G, pivots):
+                if row[f]:
+                    sym -= row[f] * ((idx // place[p]) % q)
+            key = key * q + sym % q
+        counts += np.bincount(key, minlength=len(counts))
+    return int(counts.max()), int(counts.min())
 
 
 def oracle_perfectness(
@@ -244,88 +318,42 @@ def oracle_perfectness(
     ideal=None,
     radius: int | None = None,
     cap: int | None = None,
+    codeword_cap: int | None = None,
 ) -> PerfectnessResult:
-    """Exact disjointness/covering verdict for I-balls or r-balls by full sweep.
+    """Exact disjointness/covering verdict for I-balls or r-balls, counted per class.
 
-    Exactly one of ideal / radius must be given.  Assigns every vector of
-    the space to the balls that contain it (by definition) and reports
-    whether any vector lies in two balls or in none.
+    Exactly one of ideal / radius must be given.  A vector's multiplicity is
+    the number of balls around codewords that contain it; the result gives
+    its largest and smallest value over the space.
+
+    r-balls: v lies in B_r(c) iff w(v - c) <= r, and v - C = v + C, so v's
+    multiplicity is the number of vectors of weight <= r in its coset v + C.
+    One pass weighs every vector once and counts the ball vectors per coset
+    (O(q^N) time, O(chunk + q^(N-k)) memory); no codeword is enumerated.
+
+    I-balls: v lies in B_I(c) iff v and c agree on every block outside I, so
+    the multiplicities are the codeword counts per outside-I value, from the
+    codewords enumerated under codeword_cap (default CODEWORD_CAP_DEFAULT),
+    in O(|C|) memory whatever the size of the space.
     """
     if (ideal is None) == (radius is None):
         raise BoundsError("give exactly one of ideal= or radius=")
+    if code.n_cols != pi.N:
+        raise BoundsError("code length differs from label map N")
     q = W.q
-    total = _check_cap(q, pi.N, cap)
-    words = _codeword_matrix(code, pi)
-    sizes, places = _index_places(pi, q)
-    max_mult = 0
-    min_mult = None
-
+    _check_cap(q, pi.N, cap)
     if ideal is not None:
-        outside = [i for i in range(pi.n) if not (ideal.members_mask >> i) & 1]
-        out_places = [1] * len(outside)
-        for t in range(len(outside) - 2, -1, -1):
-            out_places[t] = out_places[t + 1] * sizes[outside[t + 1]]
-        cw_codes = _block_codes_of_rows(words, pi, q)
-        cw_keys = np.zeros(len(words), dtype=np.int64)
-        for t, i in enumerate(outside):
-            cw_keys += cw_codes[:, i] * out_places[t]
-        sorted_keys = np.sort(cw_keys)
-        for lo in range(0, total, _CHUNK):
-            hi = min(lo + _CHUNK, total)
-            idx = np.arange(lo, hi, dtype=np.int64)
-            key = np.zeros(hi - lo, dtype=np.int64)
-            for t, i in enumerate(outside):
-                key += ((idx // places[i]) % sizes[i]) * out_places[t]
-            left = np.searchsorted(sorted_keys, key, side="left")
-            right = np.searchsorted(sorted_keys, key, side="right")
-            counts = right - left
-            max_mult = max(max_mult, int(counts.max()))
-            cmin = int(counts.min())
-            min_mult = cmin if min_mult is None else min(min_mult, cmin)
+        max_mult, min_mult = _outside_key_counts(code, pi, q, ideal, codeword_cap)
     else:
         if radius < 0:
             raise BoundsError(f"radius {radius} < 0")
-        bw_tables = _block_weight_tables(pi, W)
-        leq, strict = _order_matrices(P)
-        # weight of every vector of the space, indexed by odometer position
-        wt = np.empty(total, dtype=np.int64)
-        for lo in range(0, total, _CHUNK):
-            hi = min(lo + _CHUNK, total)
-            idx = np.arange(lo, hi, dtype=np.int64)
-            wmat = np.empty((hi - lo, pi.n), dtype=np.int64)
-            for i in range(pi.n):
-                wmat[:, i] = bw_tables[i][(idx // places[i]) % sizes[i]]
-            wt[lo:hi] = _weights_from_block_weights(leq, strict, W.M_w, wmat)
-        inball = wt <= radius
-        member = np.zeros(total, dtype=np.int32)
-        # difference tables: block code of v  ->  block code of (v - c) mod q
-        for c_row in words:
-            diff_tables = []
-            for i in range(pi.n):
-                k = pi.k[i]
-                codes = np.arange(sizes[i], dtype=np.int64)
-                shifted = np.zeros(sizes[i], dtype=np.int64)
-                sl = pi.block_slice(i + 1)
-                cblock = c_row[sl.start : sl.stop]
-                for t in range(k):
-                    digit = (codes // (q ** (k - 1 - t))) % q
-                    shifted = shifted * q + (digit - int(cblock[t])) % q
-                diff_tables.append(shifted)
-            for lo in range(0, total, _CHUNK):
-                hi = min(lo + _CHUNK, total)
-                idx = np.arange(lo, hi, dtype=np.int64)
-                shifted_idx = np.zeros(hi - lo, dtype=np.int64)
-                for i in range(pi.n):
-                    code = (idx // places[i]) % sizes[i]
-                    shifted_idx += diff_tables[i][code] * places[i]
-                member[lo:hi] += inball[shifted_idx]
-        max_mult = int(member.max())
-        min_mult = int(member.min())
+        weigh = _weigher(P, pi, W)
+        max_mult, min_mult = _coset_ball_counts(code, weigh, q, pi.N, radius)
     return PerfectnessResult(
         disjoint=max_mult <= 1,
         covering=min_mult >= 1,
         max_multiplicity=max_mult,
-        min_multiplicity=int(min_mult),
+        min_multiplicity=min_mult,
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -131,6 +132,33 @@ def test_r_perfect_trivial():
 def test_example69_twelve_perfect_fails(ex69):
     P, pi, W, C = ex69
     assert not pb.is_r_perfect(C, 12, P, pi, W)
+
+
+def test_example69_twelve_perfect_under_a_second_and_a_half(ex69):
+    # one coset-counting pass over the 7^8 space, not one sweep per codeword
+    P, pi, W, C = ex69
+    start = time.perf_counter()
+    assert not pb.is_r_perfect(C, 12, P, pi, W)
+    assert time.perf_counter() - start < 1.5
+
+
+def test_chain_mds_code_with_2401_codewords():
+    # |C| = 7^4 on 7^8 under Lee weight: the 6-balls tile the space exactly
+    P = chain(4)
+    pi = pb.label_map([2, 2, 2, 2])
+    W = lee(7)
+    C = pb.chain_mds_code(P, pi, 7, 4)
+    assert C.size == 2401
+    start = time.perf_counter()
+    r3 = pb.oracle_perfectness(C, P, pi, W, radius=3)
+    assert r3.disjoint and not r3.covering
+    assert pb.is_r_error_correcting(C, 3, P, pi, W)
+    assert not pb.is_r_perfect(C, 3, P, pi, W)
+    assert pb.is_r_perfect(C, 6, P, pi, W)
+    r7 = pb.oracle_perfectness(C, P, pi, W, radius=7)
+    assert r7.covering and not r7.disjoint
+    assert not pb.is_r_error_correcting(C, 7, P, pi, W)
+    assert time.perf_counter() - start < 10
 
 
 def test_example69_r10_balls_intersect(ex69):

@@ -64,6 +64,29 @@ def test_threads_deterministic(ex45):
     assert single.fingerprint == multi.fingerprint
 
 
+def test_small_chunks_give_the_same_answers(monkeypatch):
+    # 64-vector chunks: many ranges, and more profiles than a chunk, so the
+    # kernel weighs each range's distinct profiles instead of a whole table
+    P = pb.build_poset(4, [(1, 3), (2, 3)])
+    pi = pb.label_map([2, 1, 2, 1])
+    W = pb.lee_weight(5)
+    C = pb.linear_code(5, [[1, 2, 0, 3, 4, 1], [0, 0, 1, 1, 0, 2]])
+    I = pb.ideal_closure(P, {3})
+    want = (
+        pb.oracle_distribution(P, pi, W).histogram,
+        [pb.oracle_perfectness(C, P, pi, W, radius=r) for r in range(pi.n * W.M_w + 1)],
+        pb.oracle_perfectness(C, P, pi, W, ideal=I),
+    )
+    monkeypatch.setattr(pb.oracle, "_CHUNK", 64)
+    assert len(pb.oracle._ranges(W.q**pi.N)) > 200
+    got = (
+        pb.oracle_distribution(P, pi, W, threads=2).histogram,
+        [pb.oracle_perfectness(C, P, pi, W, radius=r) for r in range(pi.n * W.M_w + 1)],
+        pb.oracle_perfectness(C, P, pi, W, ideal=I),
+    )
+    assert got == want
+
+
 def test_space_cap():
     P = chain(4)
     pi = pb.label_map([2, 2, 2, 2])
@@ -79,6 +102,76 @@ def test_space_cap_env(monkeypatch):
         pb.oracle_distribution(P, pi, pb.lee_weight(5))
     monkeypatch.setenv("POSETBLOCK_CAP_SPACE", "100")
     assert pb.oracle_distribution(P, pi, pb.lee_weight(5)).total == 25
+
+
+def test_space_cap_never_exceeds_int64(monkeypatch):
+    # q^N = 2^64 does not fit an int64 vector index, whatever cap is set
+    def unreachable(*args):
+        raise AssertionError("a sweep started past the int64 index limit")
+
+    monkeypatch.setattr(pb.oracle, "_weigher", unreachable)
+    monkeypatch.setattr(pb.oracle, "_ranges", unreachable)
+    monkeypatch.setenv("POSETBLOCK_CAP_SPACE", str(2**70))
+    P = antichain(2)
+    pi = pb.label_map([32, 32])
+    W = pb.hamming_weight(2)
+    C = pb.linear_code(2, [[1] * 64])
+    everything = pb.ideal_closure(P, {1, 2})
+    for cap in (None, 2**70):
+        with pytest.raises(pb.ExplosionError):
+            pb.oracle_distribution(P, pi, W, cap=cap)
+        with pytest.raises(pb.ExplosionError):
+            pb.oracle_perfectness(C, P, pi, W, radius=1, cap=cap)
+        with pytest.raises(pb.ExplosionError):
+            pb.oracle_perfectness(C, P, pi, W, ideal=everything, cap=cap)
+        # verdicts fall back to the distance criterion instead of sweeping
+        assert pb.is_r_error_correcting(C, 0, P, pi, W, cap=cap)
+
+
+def test_perfectness_ideal_mode_honours_codeword_cap():
+    P = antichain(2)
+    pi = pb.label_map([2, 2])
+    W = pb.lee_weight(3)
+    C = pb.linear_code(3, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 2]])  # 27 words
+    I = pb.ideal_closure(P, {1})
+    with pytest.raises(pb.ExplosionError):
+        pb.oracle_perfectness(C, P, pi, W, ideal=I, codeword_cap=26)
+    res = pb.oracle_perfectness(C, P, pi, W, ideal=I, codeword_cap=27)
+    assert res == pb.oracle_perfectness(C, P, pi, W, ideal=I)
+
+
+def test_is_I_perfect_debug_passes_its_cap(monkeypatch, ex69):
+    P, pi, W, C = ex69
+    I = pb.enumerate_ideals(P).of_card(4)[0]
+    seen = []
+    real = pb.codes.oracle_perfectness
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("codeword_cap"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pb.codes, "oracle_perfectness", spy)
+    assert pb.is_I_perfect(C, I, pi, P=P, W=W, debug=True, cap=7)
+    assert seen == [7]
+    with pytest.raises(pb.ExplosionError):
+        pb.is_I_perfect(C, I, pi, P=P, W=W, debug=True, cap=6)
+
+
+def test_perfectness_radius_mode_enumerates_no_codeword():
+    # |C| = 3^4 is over a codeword cap of 10, q^N = 3^6 within the space cap
+    P = chain(3)
+    pi = pb.label_map([2, 2, 2])
+    W = pb.lee_weight(3)
+    C = pb.construct_I_perfect(P, pi, pb.ideal_closure(P, {1}), 3)
+    assert C.size == 81
+    with pytest.raises(pb.ExplosionError):
+        pb.codewords(C, cap=10)
+    for r in range(pi.n * W.M_w + 1):
+        res = pb.oracle_perfectness(C, P, pi, W, radius=r, codeword_cap=10)
+        assert res == pb.oracle_perfectness(C, P, pi, W, radius=r)
+        assert res.disjoint == (r < 2)  # B_r(0) holds a nonzero codeword from r = 2
+        assert pb.is_r_error_correcting(C, r, P, pi, W, codeword_cap=10) == res.disjoint
+    assert pb.oracle_perfectness(C, P, pi, W, radius=1, codeword_cap=10).covering
 
 
 def test_perfectness_ideal_mode(ex69):

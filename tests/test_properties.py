@@ -1,15 +1,22 @@
-"""Differential property test: every counting method against the brute oracle.
+"""Differential property tests: every counting method against the brute
+oracle, and the oracle's perfectness verdicts against a pure-Python sweep.
 
 Hypothesis draws q, a poset (a random one with n <= 5 or a hierarchical one
 with several levels, relabeled), block lengths k_i <= 3 with q^N <= 10^5,
 and a Lee, Hamming or custom weight, asymmetric tables included.  Every
 applicable method, and auto, must reproduce the oracle's table exactly.
+
+For perfectness it draws a small space (q^N <= 3^6), a linear code of
+dimension 1 up to N, and a weight as above; for that code and for the zero
+code, both branches of oracle_perfectness, at every radius and for every
+ideal, must equal the multiplicities found by testing every vector against
+every codeword.
 """
 
 from __future__ import annotations
 
 import warnings
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,3 +87,71 @@ def test_every_method_equals_oracle(instance):
         table = pb.distribution(P, pi, W, method=method)
         assert table.counts == oracle, method
         assert table.check_normalization()
+
+
+PERFECTNESS_PAIRS = 3**7  # vectors x codewords the brute force visits
+
+
+@st.composite
+def code_instances(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    # leave room for a code of dimension >= 1: q^(N+1) <= pairs
+    space = min(3**6, PERFECTNESS_PAIRS // q)
+    n = draw(st.sampled_from([n for n in (4, 3, 2, 1) if q**n <= space]))
+    pairs = [p for p in combinations(range(1, n + 1), 2) if draw(st.booleans())]
+    P = _relabel(n, pairs, draw(st.permutations(range(1, n + 1))))
+    ks, N = [], 0
+    for left in range(n - 1, -1, -1):
+        k_max = max(k for k in (1, 2, 3) if k == 1 or q ** (N + k + left) <= space)
+        ks.append(draw(st.integers(1, k_max)))
+        N += ks[-1]
+    k_max = max(k for k in range(N + 1) if q ** (N + k) <= PERFECTNESS_PAIRS)
+    k = draw(st.integers(1, k_max))
+    # row r has a 1 in pivot column pivots[r] and 0 in the other pivot columns,
+    # so the rows are independent and C has dimension k
+    pivots = sorted(draw(st.permutations(range(N)))[:k])
+    rows = [
+        [int(c == p) if c in pivots else draw(st.integers(0, q - 1)) for c in range(N)]
+        for p in pivots
+    ]
+    C = pb.linear_code(q, rows, n_cols=N)
+    # custom tables need not be symmetric: w(a) != w(-a) is allowed
+    table = [0] + draw(st.lists(st.integers(1, 4), min_size=q - 1, max_size=q - 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", pb.WeightWarning)
+        W = draw(st.sampled_from([pb.lee_weight(q), pb.hamming_weight(q), pb.custom_weight(q, table)]))
+    return P, pb.label_map(ks), W, C
+
+
+def _verdict(counts):
+    return pb.PerfectnessResult(
+        disjoint=max(counts) <= 1,
+        covering=min(counts) >= 1,
+        max_multiplicity=max(counts),
+        min_multiplicity=min(counts),
+    )
+
+
+def _check_perfectness(P, pi, W, C):
+    q = W.q
+    vectors = list(product(range(q), repeat=pi.N))
+    words = pb.codewords(C)
+    assert len(vectors) * len(words) <= PERFECTNESS_PAIRS
+    # v lies in B_r(c) iff d(v, c) <= r: one distance per vector and codeword
+    dist = [[pb.pwpi_distance(P, pi, W, v, c) for c in words] for v in vectors]
+    for r in range(pi.n * W.M_w + 1):
+        expected = _verdict([sum(d <= r for d in row) for row in dist])
+        assert pb.oracle_perfectness(C, P, pi, W, radius=r) == expected, (C.k, r)
+    for I in pb.enumerate_ideals(P).ideals:
+        expected = _verdict(
+            [sum(pb.i_ball_contains(pi, q, I, c, v) for c in words) for v in vectors]
+        )
+        assert pb.oracle_perfectness(C, P, pi, W, ideal=I) == expected, (C.k, I.members)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(code_instances())
+def test_perfectness_equals_brute_force(instance):
+    P, pi, W, C = instance
+    _check_perfectness(P, pi, W, C)
+    _check_perfectness(P, pi, W, pb.linear_code(W.q, [], n_cols=pi.N))
