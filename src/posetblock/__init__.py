@@ -32,7 +32,6 @@ from .distribution import (
     distribution,
     distribution_chain,
     distribution_general,
-    distribution_hierarchical,
     table_from_json_dict,
     table_to_csv,
     table_to_json,

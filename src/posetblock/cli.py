@@ -3,10 +3,6 @@
 Subcommands: distribution | ball | check-code | oracle-compare | construct
 | classify.  Diagnostics go to stderr, data to stdout.  Exit codes: 0 ok,
 1 table mismatch (oracle-compare), 2 config error, 3 enumeration over cap.
-
-The POSETBLOCK_CORRUPT_METHOD environment variable is a test hook for
-oracle-compare: it perturbs the named method's table so the mismatch path
-can be exercised without breaking a real method.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from .distribution import (
     distribution,
     table_to_csv,
     table_to_json_dict,
-    with_counts,
 )
 from .errors import ConfigError, ExplosionError, PosetBlockError
 from .oracle import oracle_distribution
@@ -35,8 +30,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_CONFIG = 2
 EXIT_EXPLOSION = 3
-
-CORRUPT_ENV = "POSETBLOCK_CORRUPT_METHOD"
 
 
 def _auto_threads(value: str) -> int:
@@ -145,15 +138,9 @@ def cmd_check_code(cfg: InstanceConfig, args) -> int:
 def cmd_oracle_compare(cfg: InstanceConfig, args) -> int:
     threads = _auto_threads(args.threads)
     oracle_table = _compute_table(cfg, "oracle", threads, args)
-    corrupt = os.environ.get(CORRUPT_ENV)
     tables = {"oracle": oracle_table}
     for method in applicable_methods(cfg.poset, cfg.pi):
-        table = _compute_table(cfg, method, threads, args)
-        if corrupt == method:
-            bumped = list(table.counts)
-            bumped[min(1, len(bumped) - 1)] += 1
-            table = with_counts(table, bumped)
-        tables[method] = table
+        tables[method] = _compute_table(cfg, method, threads, args)
     reference = oracle_table.counts
     diffs = []
     for method, table in tables.items():

@@ -201,11 +201,6 @@ def is_I_perfect(
     return verdict
 
 
-def _min_pairwise_distance(C, P, pi, W, cap):
-    # translation invariance: pairwise distances are nonzero codeword weights
-    return min_distance(C, P, pi, W, cap=cap)
-
-
 def is_r_perfect(
     C: LinearCode,
     r: int,
@@ -221,7 +216,9 @@ def is_r_perfect(
     Within the space cap the verdict is an exhaustive membership sweep,
     cross-checked against the volume/min-distance arithmetic; beyond it the
     sufficient pair (volume equality + min distance > 2r) is used, and an
-    instance it cannot certify raises ExplosionError.
+    instance it cannot certify raises ExplosionError.  By translation
+    invariance the least pairwise distance is min_distance, the least
+    nonzero codeword weight.
     """
     if r < 0 or r > pi.n * W.M_w:
         raise BoundsError(f"radius {r} outside [0, {pi.n * W.M_w}]")
@@ -233,14 +230,14 @@ def is_r_perfect(
         if exact and not volume_ok:
             raise ConsistencyError("sweep says perfect but volumes do not fill")
         if not exact and volume_ok and C.k > 0:
-            if _min_pairwise_distance(C, P, pi, W, codeword_cap) > 2 * r:
+            if min_distance(C, P, pi, W, cap=codeword_cap) > 2 * r:
                 raise ConsistencyError(
                     "volume + distance certify perfect but sweep disagrees"
                 )
         return exact
     if not volume_ok:
         return False
-    if C.k == 0 or _min_pairwise_distance(C, P, pi, W, codeword_cap) > 2 * r:
+    if C.k == 0 or min_distance(C, P, pi, W, cap=codeword_cap) > 2 * r:
         return True
     raise ExplosionError(
         "space over cap and the distance criterion cannot certify perfectness"
@@ -266,7 +263,7 @@ def is_r_error_correcting(
     if C.q**pi.N <= space_cap(cap):
         res = oracle_perfectness(C, P, pi, W, radius=r, cap=cap)
         verdict = res.disjoint
-    elif _min_pairwise_distance(C, P, pi, W, codeword_cap) > 2 * r:
+    elif min_distance(C, P, pi, W, cap=codeword_cap) > 2 * r:
         verdict = True
     else:
         raise ExplosionError(

@@ -8,11 +8,14 @@ paper's sum over the partitions of r - c*M_w into |Max I| parts in
 [1, M_w], each part placed on every maximal element in every distinct
 order, is exactly the coefficient extraction of this product.
 
-The general method sums these products over the ideal lattice.  The
-hierarchical method uses the level form of the hierarchical theorem and
-enumerates no ideals, and the chain method is the paper's chain closed
-form.  Every method must agree exactly with every other applicable method
-and with the brute oracle.
+With F(P) = sum_r |A_r| x^r (the empty ideal gives |A_0| = 1), the general
+method splits P into series-parallel pieces: a disjoint union multiplies,
+an ordinal sum with P1 below P2 gives F(P1) + x^(M_w|P1|) q^(k(P1))
+(F(P2) - 1), and a single element gives 1 + D_k(x).  Only a piece that
+is neither sums the products over its ideal lattice.  The hierarchical
+theorem's level form is the special case of an ordinal sum of antichains.
+The chain method is the paper's chain closed form.  Both methods must
+agree exactly with each other and with the brute oracle.
 """
 
 from __future__ import annotations
@@ -21,16 +24,10 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import BoundsError, PreconditionError
-from .poset import (
-    IDEAL_CAP_DEFAULT,
-    Poset,
-    chain_order,
-    classify,
-    enumerate_ideals,
-)
+from .poset import IDEAL_CAP_DEFAULT, Poset, _bits, chain_order, classify, ideal_masks
 from .space import LabelMap
 from .weights import WeightModel, block_class_size
 
@@ -107,28 +104,23 @@ def _class_poly(W: WeightModel, k: int, constant: int = 0) -> list[int]:
     return [constant] + [block_class_size(W, b, k) for b in range(1, W.M_w + 1)]
 
 
-def distribution_general(
-    P: Poset,
-    pi: LabelMap,
-    W: WeightModel,
-    *,
-    ideal_cap: int = IDEAL_CAP_DEFAULT,
-) -> DistributionTable:
-    """The ideal sum of block class polynomial products; works for every instance.
+def _ideal_sum(P: Poset, pi: LabelMap, W: WeightModel, piece: int, cap: int) -> list[int]:
+    """F over the ideals of the subposet on piece, as a coefficient list.
 
     Ideals with the same (c, sum of k over the non-maximals, maximal count
     per block length) contribute the same term, so each distinct product
     of powers D_k(x)^e is formed once.
     """
-    _check_dims(P, pi)
-    q, M_w, n = W.q, W.M_w, pi.n
-    lengths = sorted(set(pi.k))
-    masks = [sum(1 << i for i in range(n) if pi.k[i] == k) for k in lengths]
+    q, M_w = W.q, W.M_w
+    members = list(_bits(piece))
+    lengths = sorted({pi.k[i] for i in members})
+    masks = [sum(1 << i for i in members if pi.k[i] == k) for k in lengths]
     groups: Counter = Counter()
-    for ideal in enumerate_ideals(P, cap=ideal_cap).ideals:
-        below = ideal.members_mask & ~ideal.max_mask
+    for ideal in ideal_masks(P, piece, cap=cap):
+        top = P.maximals_mask(ideal)
+        below = ideal & ~top
         exp = sum(k * (below & m).bit_count() for k, m in zip(lengths, masks))
-        tops = tuple((ideal.max_mask & m).bit_count() for m in masks)
+        tops = tuple((top & m).bit_count() for m in masks)
         groups[below.bit_count(), exp, tops] += 1
     # powers[t][e] = D_{lengths[t]}(x)^e
     powers = []
@@ -139,7 +131,7 @@ def distribution_general(
             row.append(_poly_mul(row[-1], D))
         powers.append(row)
     products: dict = {}
-    counts = [0] * (n * M_w + 1)
+    counts = [0] * (len(members) * M_w + 1)
     for (c, exp, tops), mult in groups.items():
         if tops not in products:
             poly = [1]
@@ -149,38 +141,71 @@ def distribution_general(
         scale = mult * q**exp
         for b, coeff in enumerate(products[tops]):
             counts[c * M_w + b] += scale * coeff
-    return _table(P, pi, W, counts, "general")
+    return counts
 
 
-def distribution_hierarchical(
-    P: Poset, pi: LabelMap, W: WeightModel
+def _components(piece: int, adjacent) -> list[int]:
+    """Connected components of the graph on piece with i ~ j iff bit j of adjacent[i]."""
+    parts = []
+    left = piece
+    while left:
+        part = grown = left & -left
+        while grown:
+            reach = 0
+            for i in _bits(grown):
+                reach |= adjacent[i]
+            grown = reach & left & ~part
+            part |= grown
+        parts.append(part)
+        left &= ~part
+    return parts
+
+
+def distribution_general(
+    P: Poset,
+    pi: LabelMap,
+    W: WeightModel,
+    *,
+    ideal_cap: int = IDEAL_CAP_DEFAULT,
 ) -> DistributionTable:
-    """Level form of the hierarchical theorem; enumerates no ideals.
+    """F(P) by series-parallel decomposition; works for every instance.
 
-    A nonempty ideal is every lower level plus a nonempty subset S of one
-    level, with S its maximal elements, so a level L above t elements of
-    total block length K contributes
-    q^K * x^(t*M_w) * (prod_{i in L} (1 + D_{k_i}(x)) - 1).
+    A disjoint union multiplies, F(P1 + P2) = F(P1) F(P2), and an ordinal
+    sum with P1 below P2 gives F(P1) + x^(M_w |P1|) q^(k(P1)) (F(P2) - 1).
+    Only a piece that is neither enumerates its ideals, under ideal_cap.
     """
     _check_dims(P, pi)
-    cls = classify(P)
-    if not cls.is_hierarchical:
-        raise PreconditionError("poset is not hierarchical")
     q, M_w = W.q, W.M_w
-    counts = [0] * (pi.n * M_w + 1)
-    counts[0] = 1
-    below_exp = 0  # sum of k_i over all levels below the current one
-    t_prefix = 0  # number of elements in lower levels
-    for level in cls.levels.levels:
-        poly = [1]
-        for i in level:
-            poly = _poly_mul(poly, _class_poly(W, pi.k[i - 1], constant=1))
-        base = q**below_exp
-        for b in range(1, len(poly)):
-            counts[t_prefix * M_w + b] += poly[b] * base
-        below_exp += sum(pi.k[i - 1] for i in level)
-        t_prefix += len(level)
-    return _table(P, pi, W, counts, "hierarchical")
+    comparable = [P.down[i] | P.up[i] for i in range(P.n)]
+    incomparable = [~c for c in comparable]
+
+    def F(piece: int) -> list[int]:
+        if piece & (piece - 1) == 0:
+            return _class_poly(W, pi.k[piece.bit_length() - 1], constant=1)
+        parts = _components(piece, comparable)
+        if len(parts) > 1:
+            poly = [1]
+            for part in parts:
+                poly = _poly_mul(poly, F(part))
+            return poly
+        parts = _components(piece, incomparable)
+        if len(parts) == 1:
+            return _ideal_sum(P, pi, W, piece, ideal_cap)
+        # bottom first: every element of a lower summand lies below every
+        # element of a higher one, so it has fewer elements below it
+        parts.sort(key=lambda part: (P.down[part.bit_length() - 1] & piece).bit_count())
+        counts = [0] * (piece.bit_count() * M_w + 1)
+        counts[0] = 1
+        size = exp = 0
+        for part in parts:
+            poly, scale = F(part), q**exp
+            for b in range(1, len(poly)):
+                counts[size * M_w + b] += scale * poly[b]
+            size += part.bit_count()
+            exp += sum(pi.k[i] for i in _bits(part))
+        return counts
+
+    return _table(P, pi, W, F((1 << P.n) - 1), "general")
 
 
 def distribution_chain(P: Poset, pi: LabelMap, W: WeightModel) -> DistributionTable:
@@ -199,9 +224,7 @@ def distribution_chain(P: Poset, pi: LabelMap, W: WeightModel) -> DistributionTa
     return _table(P, pi, W, counts, "chain")
 
 
-# "equal" is accepted as another name of the general method, so that
-# configs naming it still parse and run.
-METHODS = ("auto", "general", "equal", "hierarchical", "chain")
+METHODS = ("auto", "general", "chain")
 
 
 def distribution(
@@ -212,19 +235,11 @@ def distribution(
     method: str = "auto",
     ideal_cap: int = IDEAL_CAP_DEFAULT,
 ) -> DistributionTable:
-    """Dispatch: auto picks chain, then hierarchical, then general."""
+    """Dispatch: auto picks chain on chains and general everywhere else."""
     if method == "auto":
-        cls = classify(P)
-        if cls.is_chain:
-            method = "chain"
-        elif cls.is_hierarchical:
-            method = "hierarchical"
-        else:
-            method = "general"
-    if method in ("general", "equal"):
+        method = "chain" if classify(P).is_chain else "general"
+    if method == "general":
         return distribution_general(P, pi, W, ideal_cap=ideal_cap)
-    if method == "hierarchical":
-        return distribution_hierarchical(P, pi, W)
     if method == "chain":
         return distribution_chain(P, pi, W)
     raise PreconditionError(f"unknown method {method!r}")
@@ -232,13 +247,7 @@ def distribution(
 
 def applicable_methods(P: Poset, pi: LabelMap) -> list[str]:
     """Counting methods whose preconditions hold for this instance."""
-    cls = classify(P)
-    out = ["general"]
-    if cls.is_hierarchical:
-        out.append("hierarchical")
-    if cls.is_chain:
-        out.append("chain")
-    return out
+    return ["general", "chain"] if classify(P).is_chain else ["general"]
 
 
 def table_to_json_dict(table: DistributionTable) -> dict:
@@ -278,8 +287,3 @@ def table_to_csv(table: DistributionTable) -> str:
     for r, c in enumerate(table.counts):
         writer.writerow([r, str(c)])
     return buf.getvalue()
-
-
-def with_counts(table: DistributionTable, counts) -> DistributionTable:
-    """Copy with replaced counts (used by the CLI corruption test hook)."""
-    return replace(table, counts=tuple(counts))

@@ -120,20 +120,14 @@ class Ideal:
 
 @dataclass(frozen=True)
 class IdealFamily:
-    """All ideals of a poset grouped into the families I_j^i.
+    """All ideals of a poset, ordered by ascending members bitmask.
 
-    by_card_and_max[(i, j)] lists the ideals of cardinality i with j maximal
-    elements; the empty ideal sits under (0, 0).  Ideals are ordered by
-    ascending members bitmask everywhere.
+    The empty ideal comes first; of_card(i) lists the ideals of
+    cardinality i.
     """
 
     poset: Poset
     ideals: tuple[Ideal, ...]
-    by_card_and_max: dict
-    totals: dict
-
-    def group(self, card: int, max_count: int) -> tuple[Ideal, ...]:
-        return self.by_card_and_max.get((card, max_count), ())
 
     def of_card(self, card: int) -> tuple[Ideal, ...]:
         return tuple(i for i in self.ideals if i.card == card)
@@ -216,22 +210,21 @@ def ideal_closure(P: Poset, S: Iterable[int]) -> Ideal:
     return Ideal(n=P.n, members_mask=members, max_mask=P.maximals_mask(members))
 
 
-def enumerate_ideals(P: Poset, *, cap: int = IDEAL_CAP_DEFAULT) -> IdealFamily:
-    """Enumerate every ideal of P, grouped by (cardinality, #maximals).
+def ideal_masks(P: Poset, within: int, *, cap: int = IDEAL_CAP_DEFAULT) -> set[int]:
+    """Bitmasks of every ideal of the subposet P induces on the set within.
 
-    BFS over the down-set lattice: an ideal grows by any element whose
-    strict down-set it already contains.  Raises ExplosionError when the
-    ideal count exceeds cap (an antichain has 2^n ideals).
+    BFS over the down-set lattice: an ideal grows by any element of within
+    whose strict down-set inside within it already contains.  Raises
+    ExplosionError when the ideal count exceeds cap (an antichain has 2^n
+    ideals).
     """
-    strict_down = [P.down[i] & ~(1 << i) for i in range(P.n)]
-    full = (1 << P.n) - 1
+    strict_down = [P.down[i] & within & ~(1 << i) for i in range(P.n)]
     seen = {0}
     frontier = [0]
     while frontier:
         nxt = []
         for mask in frontier:
-            free = full & ~mask
-            for i in _bits(free):
+            for i in _bits(within & ~mask):
                 if strict_down[i] & ~mask == 0:
                     grown = mask | (1 << i)
                     if grown not in seen:
@@ -242,20 +235,16 @@ def enumerate_ideals(P: Poset, *, cap: int = IDEAL_CAP_DEFAULT) -> IdealFamily:
                             )
                         nxt.append(grown)
         frontier = nxt
+    return seen
+
+
+def enumerate_ideals(P: Poset, *, cap: int = IDEAL_CAP_DEFAULT) -> IdealFamily:
+    """Every ideal of P with its maximal elements, in ascending mask order."""
+    masks = sorted(ideal_masks(P, (1 << P.n) - 1, cap=cap))
     ideals = tuple(
-        Ideal(n=P.n, members_mask=m, max_mask=P.maximals_mask(m))
-        for m in sorted(seen)
+        Ideal(n=P.n, members_mask=m, max_mask=P.maximals_mask(m)) for m in masks
     )
-    by_card_and_max: dict = {}
-    totals: dict = {}
-    for ideal in ideals:
-        key = (ideal.card, ideal.max_count)
-        by_card_and_max.setdefault(key, []).append(ideal)
-        totals[ideal.card] = totals.get(ideal.card, 0) + 1
-    by_card_and_max = {k: tuple(v) for k, v in by_card_and_max.items()}
-    return IdealFamily(
-        poset=P, ideals=ideals, by_card_and_max=by_card_and_max, totals=totals
-    )
+    return IdealFamily(poset=P, ideals=ideals)
 
 
 def dual_poset(P: Poset) -> Poset:

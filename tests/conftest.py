@@ -44,3 +44,30 @@ def chain(n: int) -> "pb.Poset":
 
 def antichain(n: int) -> "pb.Poset":
     return pb.build_poset(n, [])
+
+
+# posets as (n, relations) pairs, so composites can be built before the order
+N_POSET = (4, [(1, 3), (2, 3), (2, 4)])  # the smallest poset that does not decompose
+
+
+def fence(n: int) -> tuple:
+    """The zigzag 1 < 2 > 3 < 4 > ...; with n >= 4 it does not decompose."""
+    return n, [(i, i + 1) if i % 2 else (i + 1, i) for i in range(1, n)]
+
+
+def disjoint_union(*parts) -> tuple:
+    n, pairs = 0, []
+    for m, rel in parts:
+        pairs += [(a + n, b + n) for a, b in rel]
+        n += m
+    return n, pairs
+
+
+def ordinal_sum(*parts) -> tuple:
+    """Parts bottom first: every element of a part lies below the next part."""
+    n, pairs = disjoint_union(*parts)
+    offset = 0
+    for (m, _), (m2, _) in zip(parts, parts[1:]):
+        pairs += [(offset + a, offset + m + b) for a in range(1, m + 1) for b in range(1, m2 + 1)]
+        offset += m
+    return n, pairs

@@ -8,6 +8,7 @@ from __future__ import annotations
 import random
 import time
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -251,8 +252,10 @@ def test_criterion_11_structural_invariants(sweep_instances):
     for P, pi, W, _oracle, _tables in sweep_instances:
         fam = pb.enumerate_ideals(P)
         # partition identity: sum_j |I_j^i| = |I^i|
-        for i, total in fam.totals.items():
-            if sum(len(g) for (c, _), g in fam.by_card_and_max.items() if c == i) != total:
+        groups = Counter((i.card, i.max_count) for i in fam.ideals)
+        totals = Counter(i.card for i in fam.ideals)
+        for i, total in totals.items():
+            if sum(g for (c, _), g in groups.items() if c == i) != total:
                 failures.append((pi.k, f"partition identity i={i}"))
         # dual complement bijection
         full = (1 << P.n) - 1

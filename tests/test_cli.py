@@ -1,12 +1,14 @@
-"""End-to-end CLI behavior: exit codes, stdout schemas, the corruption hook."""
+"""End-to-end CLI behavior: exit codes, stdout schemas, the mismatch path."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 import posetblock as pb
+from posetblock import cli
 from posetblock.cli import main
 
 EX45 = {
@@ -130,7 +132,7 @@ def test_oracle_compare_ok(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["match"] and payload["diffs"] == []
-    assert set(payload["methods"]) >= {"oracle", "general", "chain", "hierarchical"}
+    assert set(payload["methods"]) == {"oracle", "general", "chain"}
 
 
 def test_oracle_compare_corruption_hook(tmp_path, capsys, monkeypatch):
@@ -142,7 +144,17 @@ def test_oracle_compare_corruption_hook(tmp_path, capsys, monkeypatch):
     }
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
-    monkeypatch.setenv("POSETBLOCK_CORRUPT_METHOD", "general")
+    real = cli.distribution
+
+    def bumped(*args, **kwargs):
+        table = real(*args, **kwargs)
+        if table.method != "general":
+            return table
+        counts = list(table.counts)
+        counts[1] += 1
+        return dataclasses.replace(table, counts=tuple(counts))
+
+    monkeypatch.setattr(cli, "distribution", bumped)
     code, out, _ = run(capsys, "oracle-compare", "--config", str(path))
     assert code == 1
     payload = json.loads(out)
@@ -160,11 +172,11 @@ def test_oracle_compare_over_cap(tmp_path, capsys):
     assert "cap" in err
 
 
-# q^N = 3^4 fits the oracle; 1 <= 2 on [4] is neither a chain nor
-# hierarchical, so every table goes through the ideal enumeration
+# q^N = 3^4 fits the oracle; the N poset (1, 2 <= 3 and 2 <= 4) is no
+# disjoint union and no ordinal sum, so general enumerates its 8 ideals
 SMALL_GENERAL = {
     "q": 3,
-    "poset": {"n": 4, "relations": [[1, 2]]},
+    "poset": {"n": 4, "relations": [[1, 3], [2, 3], [2, 4]]},
     "pi": [1, 1, 1, 1],
     "weight": "lee",
 }
@@ -338,6 +350,18 @@ def test_config_method_and_format_defaults(tmp_path, capsys):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["method"] == "general"
+
+
+def test_removed_method_names_exit_2(tmp_path, capsys):
+    # the level form and the equal-block route are now part of general
+    assert cli.METHODS == ("auto", "general", "chain")
+    for name in ("hierarchical", "equal"):
+        path = _write(tmp_path, dict(EX45, method=name))
+        code, _, err = run(capsys, "distribution", "--config", path)
+        assert code == 2 and "unknown method" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["distribution", "--config", _write(tmp_path, EX45), "--method", name])
+        assert exc.value.code == 2
 
 
 def test_oracle_method_flag(tmp_path, capsys):

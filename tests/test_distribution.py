@@ -10,7 +10,7 @@ from math import comb
 import pytest
 
 import posetblock as pb
-from conftest import antichain, chain
+from conftest import antichain, chain, disjoint_union, fence, ordinal_sum
 from test_poset import random_poset
 
 
@@ -38,14 +38,15 @@ def test_small_chain_oracle_frozen():
 
 
 def test_equal_blocks_matches_general():
-    # "equal" is an accepted name for the general method
+    # equal blocks need no method of their own, and "equal" names none
     W = pb.lee_weight(5)
     P = pb.build_poset(4, [(1, 3), (2, 3)])
     pi = pb.label_map([2, 2, 2, 2])
     general = pb.distribution_general(P, pi, W)
-    equal = pb.distribution(P, pi, W, method="equal")
-    assert equal.method == "general" and equal.counts == general.counts
+    assert pb.distribution(P, pi, W).counts == general.counts
     assert general.counts == pb.oracle_distribution(P, pi, W).to_table().counts
+    with pytest.raises(pb.PreconditionError):
+        pb.distribution(P, pi, W, method="equal")
 
 
 def test_equal_blocks_top_count():
@@ -61,23 +62,47 @@ def test_equal_blocks_top_count():
 def test_antichain_hamming_binomials():
     q, n, k = 3, 4, 2
     args = antichain(n), pb.label_map([k] * n), pb.hamming_weight(q)
-    for method in ("general", "hierarchical"):
+    for method in pb.applicable_methods(*args[:2]) + ["auto"]:
         table = pb.distribution(*args, method=method)
         for r in range(n + 1):
             assert table.counts[r] == comb(n, r) * (q**k - 1) ** r
+
+
+def _level_form(P, pi, W):
+    """The hierarchical theorem's level form, written out independently.
+
+    A nonempty ideal is every lower level plus a nonempty subset S of one
+    level, with S its maximal elements, so a level L above t elements of
+    total block length K contributes
+    q^K * x^(t*M_w) * (prod_{i in L} (1 + D_{k_i}(x)) - 1).
+    """
+    assert pb.classify(P).is_hierarchical
+    q, M_w = W.q, W.M_w
+    counts = [1] + [0] * (pi.n * M_w)
+    below_exp = t = 0
+    for level in pb.classify(P).levels.levels:
+        poly = [1]
+        for i in level:
+            D = [1] + [pb.block_class_size(W, b, pi.k[i - 1]) for b in range(1, M_w + 1)]
+            poly = [
+                sum(poly[j] * D[e - j] for j in range(len(poly)) if 0 <= e - j < len(D))
+                for e in range(len(poly) + M_w)
+            ]
+        for b in range(1, len(poly)):
+            counts[t * M_w + b] += poly[b] * q**below_exp
+        below_exp += sum(pi.k[i - 1] for i in level)
+        t += len(level)
+    return tuple(counts)
 
 
 def test_hierarchical_matches_general():
     W = pb.lee_weight(3)
     P = pb.build_poset(4, [(1, 3), (1, 4), (2, 3), (2, 4)])  # levels 2, 2
     pi = pb.label_map([1, 1, 1, 1])
-    assert pb.distribution_hierarchical(P, pi, W).counts == \
-        pb.distribution_general(P, pi, W).counts
+    assert _level_form(P, pi, W) == pb.distribution_general(P, pi, W).counts
     pi2 = pb.label_map([2, 1, 1, 2])
-    assert pb.distribution_hierarchical(P, pi2, W).counts == \
-        pb.distribution_general(P, pi2, W).counts
-    with pytest.raises(pb.PreconditionError):
-        pb.distribution_hierarchical(pb.build_poset(5, [(1, 2)]), pb.label_map([1] * 5), W)
+    assert _level_form(P, pi2, W) == pb.distribution_general(P, pi2, W).counts
+    assert _level_form(P, pi2, W) == pb.oracle_distribution(P, pi2, W).to_table().counts
 
 
 def test_hierarchical_hamming_closed_form():
@@ -85,7 +110,7 @@ def test_hierarchical_hamming_closed_form():
     q, k = 3, 2
     P = pb.build_poset(5, [(i, top) for i in (1, 2) for top in (3, 4, 5)])
     pi = pb.label_map([k] * 5)
-    table = pb.distribution_hierarchical(P, pi, pb.hamming_weight(q))
+    table = pb.distribution_general(P, pi, pb.hamming_weight(q))
     sizes = (2, 3)
     t = 0
     for n_j in sizes:
@@ -173,7 +198,7 @@ def test_specialized_pi_space():
     q, n, k = 2, 3, 2
     args = antichain(n), pb.label_map([k] * n), pb.hamming_weight(q)
     expected = tuple(comb(n, r) * 3**r for r in range(n + 1))
-    for method in ("general", "hierarchical"):
+    for method in pb.applicable_methods(*args[:2]) + ["auto"]:
         assert pb.distribution(*args, method=method).counts == expected
     assert pb.oracle_distribution(*args).to_table().counts == expected
 
@@ -215,7 +240,7 @@ def test_method_dispatch(ex45):
     P, pi, W = ex45
     assert pb.distribution(P, pi, W).method == "general"
     assert pb.distribution(chain(3), pb.label_map([1, 2, 1]), W).method == "chain"
-    assert pb.distribution(antichain(3), pb.label_map([1, 2, 1]), W).method == "hierarchical"
+    assert pb.distribution(antichain(3), pb.label_map([1, 2, 1]), W).method == "general"
     P4 = pb.build_poset(4, [(1, 3), (2, 3)])
     assert pb.distribution(P4, pb.label_map([2] * 4), pb.lee_weight(3)).method == "general"
     forced = pb.distribution(chain(3), pb.label_map([1, 2, 1]), W, method="general")
@@ -267,21 +292,26 @@ def test_three_level_hierarchical_vs_general_and_oracle():
     assert pb.classify(P).levels.level_sizes == (1, 3, 2)
     pi = pb.label_map([1, 2, 1, 1, 1, 2])
     W = pb.lee_weight(2)
-    h = pb.distribution_hierarchical(P, pi, W)
     g = pb.distribution_general(P, pi, W)
     o = pb.oracle_distribution(P, pi, W).to_table()
-    assert h.counts == g.counts == o.counts
+    assert _level_form(P, pi, W) == g.counts == o.counts
 
 
 def test_arrangement_cap_propagates():
-    # the ideal cap reaches the enumeration through both entry points
-    P = pb.build_poset(8, [])
-    pi = pb.label_map([1] * 8)
+    # the ideal cap reaches the enumeration of a piece that does not
+    # decompose (a 6-fence, 21 ideals) through both entry points, also
+    # inside a disjoint union and an ordinal sum
     W = pb.lee_weight(7)
-    with pytest.raises(pb.ExplosionError):
-        pb.distribution_general(P, pi, W, ideal_cap=10)
-    with pytest.raises(pb.ExplosionError):
-        pb.distribution(P, pi, W, method="general", ideal_cap=10)
+    for n, pairs in (fence(6), ordinal_sum(disjoint_union(fence(6), (1, [])), (2, []))):
+        P, pi = pb.build_poset(n, pairs), pb.label_map([1] * n)
+        with pytest.raises(pb.ExplosionError):
+            pb.distribution_general(P, pi, W, ideal_cap=10)
+        with pytest.raises(pb.ExplosionError):
+            pb.distribution(P, pi, W, method="general", ideal_cap=10)
+        assert pb.distribution(P, pi, W, ideal_cap=21).check_normalization()
+    # an antichain decomposes into single elements and enumerates no ideal
+    table = pb.distribution(antichain(8), pb.label_map([1] * 8), W, ideal_cap=0)
+    assert table.check_normalization()
 
 
 def _timed(fn):
@@ -300,11 +330,39 @@ def test_ex45_q101_general_under_a_second(ex45):
 
 
 def test_mixed_block_antichain_n20_auto_under_a_second():
-    # 2^20 ideals; auto takes the level form, which enumerates none
+    # 2^20 ideals; a disjoint union of single elements enumerates none
     pi = pb.label_map([1 + i % 3 for i in range(20)])
     table, seconds = _timed(
         lambda: pb.distribution(antichain(20), pi, pb.lee_weight(7)))
-    assert table.method == "hierarchical" and table.check_normalization()
+    assert table.method == "general" and table.check_normalization()
+    assert seconds < 1.0
+
+
+def test_mixed_block_antichain_n24_general_under_a_second():
+    # 2^24 ideals, over the default ideal cap of 2^22
+    pi = pb.label_map([1 + i % 3 for i in range(24)])
+    table, seconds = _timed(
+        lambda: pb.distribution(antichain(24), pi, pb.lee_weight(7), method="general"))
+    assert table.check_normalization()
+    assert seconds < 1.0
+
+
+def test_series_parallel_n24_general_under_a_second():
+    # unions and ordinal sums of antichains and chains, nested three deep
+    def chain_of(m):
+        return m, [(i, i + 1) for i in range(1, m)]
+
+    n, pairs = ordinal_sum(
+        disjoint_union(ordinal_sum((3, []), (4, [])), chain_of(3), (2, [])),
+        (5, []),
+        disjoint_union(chain_of(2), ordinal_sum((2, []), chain_of(3))),
+    )
+    assert n == 24
+    P = pb.build_poset(n, pairs)
+    pi = pb.label_map([1 + i % 3 for i in range(n)])
+    table, seconds = _timed(
+        lambda: pb.distribution(P, pi, pb.lee_weight(7), method="general"))
+    assert table.check_normalization()
     assert seconds < 1.0
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -74,29 +75,31 @@ def test_enumerate_ideals_example45_family(ex45):
         (4, 4): 1,
         (5, 4): 1,
     }
-    assert {key: len(group) for key, group in fam.by_card_and_max.items()} == expected
-    # grouped ideals carry the right cardinalities and maximal counts
-    for (i, j), group in fam.by_card_and_max.items():
-        for ideal in group:
-            assert ideal.card == i and ideal.max_count == j
-            # downward closure
-            for b in ideal.members:
-                for a in range(1, P.n + 1):
-                    if P.leq(a, b):
-                        assert ideal.contains(a)
+    assert Counter((i.card, i.max_count) for i in fam.ideals) == expected
+    # ideals carry the right maximal counts and are in ascending mask order
+    masks = [ideal.members_mask for ideal in fam.ideals]
+    assert masks == sorted(masks)
+    for ideal in fam.ideals:
+        assert ideal.max_count == len(ideal.maximals)
+        # downward closure
+        for b in ideal.members:
+            for a in range(1, P.n + 1):
+                if P.leq(a, b):
+                    assert ideal.contains(a)
 
 
 def test_enumerate_ideals_antichain_counts():
     for n in (3, 5, 8):
-        fam = pb.enumerate_ideals(antichain(n))
+        totals = Counter(i.card for i in pb.enumerate_ideals(antichain(n)).ideals)
         for r in range(n + 1):
-            assert fam.totals.get(r, 0) == comb(n, r)
+            assert totals[r] == comb(n, r)
 
 
 def test_enumerate_ideals_chain_counts():
     fam = pb.enumerate_ideals(chain(6))
     assert len(fam) == 7
-    assert all(fam.totals[t] == 1 for t in range(7))
+    totals = Counter(i.card for i in fam.ideals)
+    assert all(totals[t] == 1 for t in range(7))
 
 
 def test_enumerate_ideals_cap():
@@ -108,12 +111,10 @@ def test_family_partition_identity():
     rng = random.Random(7)
     for _ in range(10):
         fam = pb.enumerate_ideals(random_poset(6, rng))
-        for i, total in fam.totals.items():
-            assert sum(
-                len(group)
-                for (card, _j), group in fam.by_card_and_max.items()
-                if card == i
-            ) == total
+        groups = Counter((i.card, i.max_count) for i in fam.ideals)
+        totals = Counter(i.card for i in fam.ideals)
+        for i, total in totals.items():
+            assert sum(n for (card, _j), n in groups.items() if card == i) == total
 
 
 def test_dual_poset_involution_and_complement_bijection(ex45):

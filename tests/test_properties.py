@@ -6,6 +6,12 @@ with several levels, relabeled), block lengths k_i <= 3 with q^N <= 10^5,
 and a Lee, Hamming or custom weight, asymmetric tables included.  Every
 applicable method, and auto, must reproduce the oracle's table exactly.
 
+For the series-parallel decomposition it draws nested disjoint unions and
+ordinal sums of pieces, one of them an N or a fence, which do not
+decompose, so the union, the sum and the ideal-enumeration branches all
+run.  General must equal the oracle where q^N <= 10^5, and on larger
+instances (n <= 12, q <= 31) the ideal sum over the whole ground set.
+
 For perfectness it draws a small space (q^N <= 3^6), a linear code of
 dimension 1 up to N, and a weight as above; for that code and for the zero
 code, both branches of oracle_perfectness, at every radius and for every
@@ -22,6 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import posetblock as pb
+from conftest import N_POSET, disjoint_union, fence, ordinal_sum
+from posetblock.distribution import _ideal_sum
 
 MAX_SPACE = 10**5
 
@@ -53,16 +61,48 @@ def hierarchical_posets(draw, n_max):
 
 
 @st.composite
-def instances(draw):
-    q = draw(st.sampled_from([2, 3, 5, 7]))
-    n_max = min(8, max(n for n in range(1, 18) if q**n <= MAX_SPACE))
-    P = draw(st.one_of(random_posets(n_max), hierarchical_posets(n_max)))
+def composite_posets(draw, n_max):
+    """Nested disjoint unions and ordinal sums of 2-4 pieces, relabeled.
+
+    The first piece is an N or a fence with 4-6 elements; the others are
+    single elements, chains, antichains or random posets.
+    """
+    first = draw(st.integers(4, min(6, n_max - 1)))
+    parts = [N_POSET if first == 4 and draw(st.booleans()) else fence(first)]
+    left = n_max - first
+    for _ in range(draw(st.integers(1, 3))):
+        if left == 0:
+            break
+        m = draw(st.integers(1, min(4, left)))
+        shape = draw(st.sampled_from(["chain", "antichain", "random"]))
+        if shape == "chain":
+            rel = [(i, i + 1) for i in range(1, m)]
+        elif shape == "antichain":
+            rel = []
+        else:
+            rel = [p for p in combinations(range(1, m + 1), 2) if draw(st.booleans())]
+        parts.append((m, rel))
+        left -= m
+    parts = draw(st.permutations(parts))
+    while len(parts) > 1:
+        i = draw(st.integers(0, len(parts) - 2))
+        join = draw(st.sampled_from([disjoint_union, ordinal_sum]))
+        parts[i : i + 2] = [join(parts[i], parts[i + 1])]
+    n, pairs = parts[0]
+    return _relabel(n, pairs, draw(st.permutations(range(1, n + 1))))
+
+
+def _block_lengths(draw, n, q, space):
     ks, N = [], 0
-    for left in range(P.n - 1, -1, -1):
+    for left in range(n - 1, -1, -1):
         # leave at least one symbol for each block still to come
-        k_max = max(k for k in (1, 2, 3) if k == 1 or q ** (N + k + left) <= MAX_SPACE)
+        k_max = max(k for k in (1, 2, 3) if k == 1 or q ** (N + k + left) <= space)
         ks.append(draw(st.integers(1, k_max)))
         N += ks[-1]
+    return pb.label_map(ks)
+
+
+def _weight(draw, q):
     kind = draw(st.sampled_from(["lee", "hamming", "custom"]))
     if kind == "lee":
         W = pb.lee_weight(q)
@@ -73,7 +113,15 @@ def instances(draw):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", pb.WeightWarning)
             W = pb.custom_weight(q, table)
-    return P, pb.label_map(ks), W
+    return W
+
+
+@st.composite
+def instances(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    n_max = min(8, max(n for n in range(1, 18) if q**n <= MAX_SPACE))
+    P = draw(st.one_of(random_posets(n_max), hierarchical_posets(n_max)))
+    return P, _block_lengths(draw, P.n, q, MAX_SPACE), _weight(draw, q)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -87,6 +135,40 @@ def test_every_method_equals_oracle(instance):
         table = pb.distribution(P, pi, W, method=method)
         assert table.counts == oracle, method
         assert table.check_normalization()
+
+
+@st.composite
+def small_composites(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    n_max = max(n for n in range(1, 18) if q**n <= MAX_SPACE)
+    P = draw(composite_posets(n_max))
+    return P, _block_lengths(draw, P.n, q, MAX_SPACE), _weight(draw, q)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(small_composites())
+def test_decomposition_equals_oracle(instance):
+    P, pi, W = instance
+    oracle = pb.oracle_distribution(P, pi, W).to_table().counts
+    assert pb.distribution_general(P, pi, W).counts == oracle
+
+
+@st.composite
+def large_composites(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7, 11, 31]))
+    P = draw(composite_posets(draw(st.integers(5, 12))))
+    pi = pb.label_map(draw(st.lists(st.integers(1, 3), min_size=P.n, max_size=P.n)))
+    return P, pi, _weight(draw, q)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(large_composites())
+def test_decomposition_equals_flat_ideal_sum(instance):
+    P, pi, W = instance
+    flat = _ideal_sum(P, pi, W, (1 << P.n) - 1, pb.poset.IDEAL_CAP_DEFAULT)
+    table = pb.distribution_general(P, pi, W)
+    assert table.counts == tuple(flat)
+    assert table.check_normalization()
 
 
 PERFECTNESS_PAIRS = 3**7  # vectors x codewords the brute force visits
