@@ -1,8 +1,14 @@
 """Command-line driver: one config file in, one artifact on stdout.
 
-Subcommands: distribution | ball | check-code | oracle-compare | construct
-| classify.  Diagnostics go to stderr, data to stdout.  Exit codes: 0 ok,
-1 table mismatch (oracle-compare), 2 config error, 3 enumeration over cap.
+    posetblock <command> --config PATH [--format json|csv] [--method M]
+        [--radius R] [--threads T] [--cap-ideals N] [--cap-space N]
+
+Commands: distribution | ball | check-code | oracle-compare | construct
+| classify.  One parser takes the command as a positional and the same
+flags for every command; a command ignores the flags it does not use.
+Diagnostics go to stderr, data to stdout.  Exit codes: 0 ok, 1 table
+mismatch (oracle-compare), 2 config error or bad arguments, 3 enumeration
+over cap.
 """
 
 from __future__ import annotations
@@ -217,20 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="posetblock",
         description="Weight distributions and code analysis for poset block spaces",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to instance JSON")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument(
-            "--method",
-            choices=METHODS + ("oracle",),
-            default=None,
-        )
-        p.add_argument("--radius", type=int, default=None)
-        p.add_argument("--threads", default="auto")
-        p.add_argument("--cap-ideals", type=int, default=None)
-        p.add_argument("--cap-space", type=int, default=None)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="path to instance JSON")
+    parser.add_argument("--format", choices=("json", "csv"), default=None)
+    parser.add_argument("--method", choices=METHODS + ("oracle",), default=None)
+    parser.add_argument("--radius", type=int, default=None)
+    parser.add_argument("--threads", default="auto")
+    parser.add_argument("--cap-ideals", type=int, default=None)
+    parser.add_argument("--cap-space", type=int, default=None)
     return parser
 
 

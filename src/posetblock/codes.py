@@ -13,7 +13,6 @@ construction, and the closed-form weight distribution of MDS chain codes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .errors import (
     PreconditionError,
     TrivialCodeError,
 )
-from .oracle import oracle_perfectness, space_cap
+from .oracle import _pairwise_weights, _ranges, oracle_perfectness, space_cap
 from .poset import (
     Ideal,
     Poset,
@@ -117,17 +116,21 @@ def linear_code(q: int, rows, n_cols: int | None = None) -> LinearCode:
     return LinearCode(q=q, n_cols=n_cols, generator=tuple(tuple(r) for r in reduced))
 
 
-@lru_cache(maxsize=64)
-def codewords(C: LinearCode, *, cap: int = CODEWORD_CAP_DEFAULT) -> tuple:
-    """All q^k codewords as tuples, in lexicographic coefficient order."""
+def _codeword_matrix(C: LinearCode, cap: int) -> np.ndarray:
+    """All q^k codewords as the rows of an int64 matrix, in lexicographic
+    coefficient order; row 0 is the zero codeword."""
     if C.size > cap:
         raise ExplosionError(f"q^k = {C.size} codewords exceed cap {cap}")
     if C.k == 0:
-        return ((0,) * C.n_cols,)
+        return np.zeros((1, C.n_cols), dtype=np.int64)
     G = np.array(C.generator, dtype=np.int64)
     coefs = np.indices((C.q,) * C.k).reshape(C.k, -1).T
-    words = (coefs @ G) % C.q
-    return tuple(tuple(int(v) for v in row) for row in words)
+    return (coefs @ G) % C.q
+
+
+def codewords(C: LinearCode, *, cap: int = CODEWORD_CAP_DEFAULT) -> tuple:
+    """All q^k codewords as tuples, in lexicographic coefficient order."""
+    return tuple(map(tuple, _codeword_matrix(C, cap).tolist()))
 
 
 def min_distance(
@@ -138,16 +141,18 @@ def min_distance(
     *,
     cap: int = CODEWORD_CAP_DEFAULT,
 ) -> int:
-    """Minimum nonzero codeword weight (exhaustive); the Hamming-weight swap
-    of W yields the (P,pi) minimum distance."""
+    """Minimum nonzero codeword weight (exhaustive, by the oracle's row
+    kernel, a chunk of rows at a time); the Hamming-weight swap of W yields
+    the (P,pi) minimum distance."""
     if C.k == 0:
         raise TrivialCodeError("the zero code has no nonzero codeword")
     if C.n_cols != pi.N:
         raise DimensionError(f"code length {C.n_cols} != N = {pi.N}")
-    from .space import pwpi_weight
-
+    # the generator has full rank, so every row but the first is nonzero
+    words = _codeword_matrix(C, cap)[1:]
     return min(
-        pwpi_weight(P, pi, W, c) for c in codewords(C, cap=cap) if any(c)
+        int(_pairwise_weights(P, pi, W, words[lo:hi]).min())
+        for lo, hi in _ranges(len(words))
     )
 
 
@@ -322,11 +327,12 @@ class CodeReport:
         }
 
 
-def _max_ideal_k_sum(P: Poset, pi: LabelMap, card: int) -> int:
-    family = enumerate_ideals(P)
-    best = 0
-    for ideal in family.of_card(card):
-        best = max(best, sum(pi.k[i - 1] for i in ideal.members))
+def _max_ideal_k_sums(P: Poset, pi: LabelMap) -> dict:
+    """Cardinality c -> the largest sum(k_i, i in J) over the ideals J with |J| = c."""
+    best: dict = {}
+    for ideal in enumerate_ideals(P).ideals:
+        k_sum = sum(pi.k[i - 1] for i in ideal.members)
+        best[ideal.card] = max(best.get(ideal.card, 0), k_sum)
     return best
 
 
@@ -348,8 +354,9 @@ def singleton_report(
     d_ppi = min_distance(C, P, pi, hamming_weight(C.q), cap=cap)
     r_wtilde = (d_pwpi - W.m_w) // W.M_w
     rhs = pi.N - ceil_log_q(C.size, C.q)
-    lhs = _max_ideal_k_sum(P, pi, r_wtilde)
-    ppi_lhs = _max_ideal_k_sum(P, pi, d_ppi - 1)
+    best = _max_ideal_k_sums(P, pi)
+    lhs = best.get(r_wtilde, 0)
+    ppi_lhs = best.get(d_ppi - 1, 0)
     return CodeReport(
         d_pwpi=d_pwpi,
         d_ppi=d_ppi,

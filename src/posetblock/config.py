@@ -22,7 +22,6 @@ class InstanceConfig:
     code: LinearCode | None
     ideal_members: tuple | None
     caps: dict
-    seed: int
     method: str | None  # default method; CLI --method overrides
     fmt: str | None  # default output format; CLI --format overrides
 
@@ -71,7 +70,6 @@ def parse_config(obj: dict) -> InstanceConfig:
             code=code,
             ideal_members=ideal_members,
             caps=caps,
-            seed=int(obj.get("seed", 0)),
             method=method,
             fmt=fmt,
         )

@@ -42,7 +42,6 @@ class DistributionTable:
     max_weight: int
     counts: tuple[int, ...]
     method: str
-    poset_kind: str
 
     def total(self) -> int:
         return sum(self.counts)
@@ -59,17 +58,6 @@ def ball_volume(table: DistributionTable, r: int) -> int:
     return sum(table.counts[: r + 1])
 
 
-def _poset_kind(P: Poset) -> str:
-    cls = classify(P)
-    if cls.is_chain:
-        return "chain"
-    if cls.is_antichain:
-        return "antichain"
-    if cls.is_hierarchical:
-        return "hierarchical"
-    return "general"
-
-
 def _check_dims(P: Poset, pi: LabelMap) -> None:
     if P.n != pi.n:
         raise PreconditionError(
@@ -77,7 +65,7 @@ def _check_dims(P: Poset, pi: LabelMap) -> None:
         )
 
 
-def _table(P, pi, W, counts, method) -> DistributionTable:
+def _table(pi, W, counts, method) -> DistributionTable:
     return DistributionTable(
         q=W.q,
         N=pi.N,
@@ -85,7 +73,6 @@ def _table(P, pi, W, counts, method) -> DistributionTable:
         max_weight=pi.n * W.M_w,
         counts=tuple(counts),
         method=method,
-        poset_kind=_poset_kind(P),
     )
 
 
@@ -205,7 +192,7 @@ def distribution_general(
             exp += sum(pi.k[i] for i in _bits(part))
         return counts
 
-    return _table(P, pi, W, F((1 << P.n) - 1), "general")
+    return _table(pi, W, F((1 << P.n) - 1), "general")
 
 
 def distribution_chain(P: Poset, pi: LabelMap, W: WeightModel) -> DistributionTable:
@@ -221,7 +208,7 @@ def distribution_chain(P: Poset, pi: LabelMap, W: WeightModel) -> DistributionTa
         for a in range(1, M_w + 1):
             counts[t * M_w + a] = q**prefix_exp * block_class_size(W, a, k_next)
         prefix_exp += k_next
-    return _table(P, pi, W, counts, "chain")
+    return _table(pi, W, counts, "chain")
 
 
 METHODS = ("auto", "general", "chain")
@@ -272,7 +259,6 @@ def table_from_json_dict(obj: dict) -> DistributionTable:
         max_weight=len(counts) - 1,
         counts=counts,
         method=obj.get("method", "unknown"),
-        poset_kind="unknown",
     )
 
 

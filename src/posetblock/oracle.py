@@ -67,7 +67,6 @@ class OracleResult:
             max_weight=self.max_weight,
             counts=counts,
             method="oracle",
-            poset_kind="unknown",
         )
 
 
@@ -261,10 +260,10 @@ def oracle_distribution(
 def _outside_key_counts(code, pi: LabelMap, q: int, ideal, codeword_cap):
     """(max, min) over the values of the blocks outside the ideal of the
     number of codewords taking that value."""
-    from .codes import CODEWORD_CAP_DEFAULT, codewords
+    from .codes import CODEWORD_CAP_DEFAULT, _codeword_matrix
 
     cap = CODEWORD_CAP_DEFAULT if codeword_cap is None else codeword_cap
-    words = np.array(codewords(code, cap=cap), dtype=np.int64)
+    words = _codeword_matrix(code, cap)
     key = np.zeros(len(words), dtype=np.int64)
     width = 0
     for i in range(pi.n):

@@ -1,7 +1,8 @@
-"""End-to-end CLI behavior: exit codes, stdout schemas, the mismatch path."""
+"""End-to-end CLI behavior: the grammar, exit codes, stdout schemas, the mismatch path."""
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 
@@ -382,3 +383,51 @@ def test_oracle_method_flag(tmp_path, capsys):
         pb.build_poset(3, [(1, 2)]), pb.label_map([2, 1, 1]), pb.hamming_weight(2)
     )
     assert tuple(int(e["count"]) for e in payload["counts"]) == general.counts
+
+
+FLAGS = ["--config", "x.json", "--format", "csv", "--method", "chain", "--radius", "4",
+         "--threads", "2", "--cap-ideals", "10", "--cap-space", "100"]
+
+
+def test_every_command_takes_every_flag():
+    parser = cli.build_parser()
+    for name in cli.COMMANDS:
+        assert vars(parser.parse_args([name, *FLAGS])) == {
+            "command": name, "config": "x.json", "format": "csv", "method": "chain",
+            "radius": 4, "threads": "2", "cap_ideals": 10, "cap_space": 100,
+        }
+        assert vars(parser.parse_args([name, "--config", "x.json"])) == {
+            "command": name, "config": "x.json", "format": None, "method": None,
+            "radius": None, "threads": "auto", "cap_ideals": None, "cap_space": None,
+        }
+
+
+def test_missing_or_unknown_command_exits_2(cfg45, capsys):
+    for argv in ([], ["--config", cfg45], ["tables", "--config", cfg45]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert len(cli.COMMANDS) == 6
+    assert all(name in out for name in cli.COMMANDS)
+
+
+def test_main_builds_one_parser(cfg45, capsys, monkeypatch):
+    made = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    # subparsers are built by the same class, so each one counts too
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(capsys, "distribution", "--config", cfg45)[0] == 0
+    assert len(made) == 1

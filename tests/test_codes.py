@@ -54,6 +54,24 @@ def test_min_distance_examples(ex69, ex73):
     assert pb.min_distance(C2, P2, pi2, pb.hamming_weight(7)) == 5
 
 
+def test_codewords_has_no_cache():
+    # a cache could pin 64 tables of up to 10^6 codeword tuples each
+    assert not hasattr(pb.codewords, "cache_info")
+
+
+def test_min_distance_minimum_in_a_later_chunk(monkeypatch):
+    P = pb.build_poset(3, [(1, 2)])
+    pi = pb.label_map([1, 2, 1])
+    C = pb.linear_code(7, [[1, 3, 0, 2], [0, 1, 5, 6]])
+    nonzero = [c for c in pb.codewords(C) if any(c)]
+    weights = [pb.pwpi_weight(P, pi, lee(7), c) for c in nonzero]
+    chunk = 4
+    # the least weight lies beyond the first chunk of rows
+    assert min(weights[:chunk]) > min(weights)
+    monkeypatch.setattr(pb.oracle, "_CHUNK", chunk)
+    assert pb.min_distance(C, P, pi, lee(7)) == min(weights)
+
+
 def test_min_distance_full_space_and_zero():
     P = chain(3)
     pi = pb.label_map([1, 2, 1])
@@ -229,6 +247,21 @@ def test_singleton_report_examples(ex69, ex73):
     assert rep2.r_wtilde == 3
     assert rep2.r_wtilde < pi2.n - C2.k // pi2.k[0]
     assert not rep2.is_mds_pwpi and rep2.is_mds_ppi
+
+
+def test_singleton_report_enumerates_ideals_once(ex69, monkeypatch):
+    P, pi, W, C = ex69
+    calls = []
+    real = pb.codes.enumerate_ideals
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pb.codes, "enumerate_ideals", counted)
+    rep = pb.singleton_report(C, P, pi, W)
+    assert len(calls) == 1
+    assert (rep.singleton_lhs, rep.ppi_lhs) == (6, 7)
 
 
 def test_singleton_full_space_is_mds():

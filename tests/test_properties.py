@@ -16,7 +16,8 @@ For perfectness it draws a small space (q^N <= 3^6), a linear code of
 dimension 1 up to N, and a weight as above; for that code and for the zero
 code, both branches of oracle_perfectness, at every radius and for every
 ideal, must equal the multiplicities found by testing every vector against
-every codeword.
+every codeword, and min_distance, under the weight and under Hamming,
+must equal the least pwpi_weight over the nonzero codewords.
 """
 
 from __future__ import annotations
@@ -237,3 +238,9 @@ def test_perfectness_equals_brute_force(instance):
     P, pi, W, C = instance
     _check_perfectness(P, pi, W, C)
     _check_perfectness(P, pi, W, pb.linear_code(W.q, [], n_cols=pi.N))
+    # min_distance weighs codeword rows with the oracle's kernel; the
+    # reference is pwpi_weight, one nonzero codeword at a time
+    nonzero = [c for c in pb.codewords(C) if any(c)]
+    for weight in (W, pb.hamming_weight(W.q)):
+        expected = min(pb.pwpi_weight(P, pi, weight, c) for c in nonzero)
+        assert pb.min_distance(C, P, pi, weight) == expected
