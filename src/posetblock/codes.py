@@ -1,18 +1,20 @@
 """Linear codes over F_q (q prime) in a (P,w,pi)-space.
 
-Codes are materialized at desk scale: the generator is kept in reduced
-row-echelon form and all q^k codewords are enumerated under a cap, so
-minimum distances and perfectness verdicts are exhaustive rather than
-clever.  The module covers I-balls, I-perfect / r-perfect / r-error-
-correcting checks, the Singleton bound and MDS status in both the
-weighted and the Hamming-specialized metric, dual codes, the four-way
-duality equivalence under a unique ideal, the transversal I-perfect
-construction, and the closed-form weight distribution of MDS chain codes.
+The generator is kept in reduced row-echelon form.  Every I-ball verdict
+is a rank test over F_q: C meets B_I(0) only in 0 exactly when the
+generator's columns on the blocks outside I have rank k.  Only
+`codewords`, minimum distances and the oracle's I-ball counts enumerate
+the q^k codewords, under a cap.  The module covers I-balls, I-perfect /
+r-perfect / r-error-correcting checks, the Singleton bound and MDS status
+in both the weighted and the Hamming-specialized metric, dual codes, the
+four-way duality equivalence under a unique ideal, the transversal
+I-perfect construction, and the closed-form weight distribution of MDS
+chain codes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -156,17 +158,23 @@ def min_distance(
     )
 
 
-def _support_mask(pi: LabelMap, entries) -> int:
-    mask = 0
-    for i in pi_support(pi, entries):
-        mask |= 1 << (i - 1)
-    return mask
-
-
 def i_ball_contains(pi: LabelMap, q: int, I: Ideal, center, x) -> bool:
     """Whether x lies in the I-ball around center: supp_pi(center - x) inside I."""
     diff = vector_sub(q, tuple(center), tuple(x))
-    return _support_mask(pi, diff) & ~I.members_mask == 0
+    return all(I.contains(i) for i in pi_support(pi, diff))
+
+
+def _packs(C: LinearCode, pi: LabelMap, mask: int) -> bool:
+    """Whether C & B_mask(0) = {0}: the generator's columns on the blocks
+    outside the block mask have rank k over F_q."""
+    cols = [
+        c
+        for i in range(pi.n)
+        if not (mask >> i) & 1
+        for c in range(pi.N)[pi.block_slice(i + 1)]
+    ]
+    reduced, _ = _rref([[row[c] for c in cols] for row in C.generator], C.q, len(cols))
+    return len(reduced) == C.k
 
 
 def is_I_perfect(
@@ -181,19 +189,16 @@ def is_I_perfect(
 ) -> bool:
     """Covering condition sum(k_i, i in I) = N - k plus packing |B_I(0) & C| = 1.
 
-    With debug=True (and P, W given) the equivalent partition condition is
-    re-checked by the oracle's per-class count, under the same codeword
-    cap; disagreement is a bug.
+    Packing is a rank test: the generator's columns outside I have rank k.
+    No codeword is enumerated, so cap bounds only the debug check: with
+    debug=True (and P, W given) the equivalent partition condition is
+    re-checked by the oracle's per-class count of the codewords, under
+    that codeword cap; disagreement is a bug.
     """
     if C.n_cols != pi.N:
         raise DimensionError(f"code length {C.n_cols} != N = {pi.N}")
     covering = sum(pi.k[i - 1] for i in I.members) == pi.N - C.k
-    in_ball = sum(
-        1
-        for c in codewords(C, cap=cap)
-        if _support_mask(pi, c) & ~I.members_mask == 0
-    )
-    verdict = covering and in_ball == 1
+    verdict = covering and _packs(C, pi, I.members_mask)
     if debug:
         if P is None or W is None:
             raise BoundsError("debug check needs P and W")
@@ -276,31 +281,15 @@ def is_r_error_correcting(
         )
     if debug and verdict and W.M_w and r % W.M_w == 0:
         # consequence check: differences of codewords avoid B_{I union J}
-        t = r // W.M_w
-        family = enumerate_ideals(P)
-        tier = family.of_card(t)
-        for c in codewords(C, cap=codeword_cap):
-            if not any(c):
-                continue
-            mask = _support_mask(pi, c)
-            for I in tier:
-                for J in tier:
-                    if mask & ~(I.members_mask | J.members_mask) == 0:
-                        raise ConsistencyError(
-                            f"codeword difference {c} lies in an (I union J)-ball"
-                        )
+        tier = enumerate_ideals(P).of_card(r // W.M_w)
+        for I in tier:
+            for J in tier:
+                if not _packs(C, pi, I.members_mask | J.members_mask):
+                    raise ConsistencyError(
+                        "a nonzero codeword lies in the "
+                        f"{I.members} union {J.members} ball"
+                    )
     return verdict
-
-
-def ceil_log_q(count: int, q: int) -> int:
-    """Smallest e with q^e >= count, by integer arithmetic."""
-    if count < 1:
-        raise BoundsError(f"count {count} < 1")
-    e, power = 0, 1
-    while power < count:
-        power *= q
-        e += 1
-    return e
 
 
 @dataclass(frozen=True)
@@ -315,16 +304,7 @@ class CodeReport:
     is_mds_ppi: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "d_pwpi": self.d_pwpi,
-            "d_ppi": self.d_ppi,
-            "r_wtilde": self.r_wtilde,
-            "singleton_lhs": self.singleton_lhs,
-            "singleton_rhs": self.singleton_rhs,
-            "ppi_lhs": self.ppi_lhs,
-            "is_mds_pwpi": self.is_mds_pwpi,
-            "is_mds_ppi": self.is_mds_ppi,
-        }
+        return asdict(self)
 
 
 def _max_ideal_k_sums(P: Poset, pi: LabelMap) -> dict:
@@ -347,13 +327,13 @@ def singleton_report(
     """Singleton bound data and MDS verdicts in both metrics.
 
     The bound: max over ideals J of cardinality floor((d - m_w)/M_w) of
-    sum(k_i, i in J) is at most N - ceil(log_q |C|); MDS means equality.
+    sum(k_i, i in J) is at most N - log_q |C| = N - k; MDS means equality.
     The Hamming swap gives the (P,pi) version with radius d_ppi - 1.
     """
     d_pwpi = min_distance(C, P, pi, W, cap=cap)
     d_ppi = min_distance(C, P, pi, hamming_weight(C.q), cap=cap)
     r_wtilde = (d_pwpi - W.m_w) // W.M_w
-    rhs = pi.N - ceil_log_q(C.size, C.q)
+    rhs = pi.N - C.k
     best = _max_ideal_k_sums(P, pi)
     lhs = best.get(r_wtilde, 0)
     ppi_lhs = best.get(d_ppi - 1, 0)
@@ -435,8 +415,8 @@ def verify_duality(
     Cd = dual_code(C)
     checks = (
         _mds_pwpi(C, P, pi, W, cap),
-        is_I_perfect(C, I, pi, cap=cap),
-        is_I_perfect(Cd, I_comp, pi, cap=cap),
+        is_I_perfect(C, I, pi),
+        is_I_perfect(Cd, I_comp, pi),
         _mds_pwpi(Cd, Pd, pi, W, cap),
     )
     return all(checks) or not any(checks)

@@ -318,6 +318,20 @@ def test_construct_I_perfect_randomized():
         assert pb.is_I_perfect(C, I, pi)
 
 
+def test_is_I_perfect_is_a_rank_test():
+    # 7^8 codewords exceed the codeword cap; the verdict enumerates none
+    P = antichain(16)
+    pi = pb.label_map([1] * 16)
+    I = pb.ideal_closure(P, range(1, 9))
+    C = pb.construct_I_perfect(P, pi, I, 7)
+    assert C.k == 8 and C.size > pb.codes.CODEWORD_CAP_DEFAULT
+    start = time.perf_counter()
+    assert pb.is_I_perfect(C, I, pi)
+    assert time.perf_counter() - start < 0.05
+    # C is zero on block 1, so the 7 columns outside {2, ..., 9} have rank 7 < k
+    assert not pb.is_I_perfect(C, pb.ideal_closure(P, range(2, 10)), pi)
+
+
 def test_verify_duality_on_chains():
     rng = random.Random(59)
     cases = 0

@@ -171,6 +171,10 @@ def test_perfectness_radius_mode_enumerates_no_codeword():
         assert res == pb.oracle_perfectness(C, P, pi, W, radius=r)
         assert res.disjoint == (r < 2)  # B_r(0) holds a nonzero codeword from r = 2
         assert pb.is_r_error_correcting(C, r, P, pi, W, codeword_cap=10) == res.disjoint
+        assert (
+            pb.is_r_error_correcting(C, r, P, pi, W, codeword_cap=10, debug=True)
+            == res.disjoint
+        )
     assert pb.oracle_perfectness(C, P, pi, W, radius=1, codeword_cap=10).covering
 
 

@@ -230,6 +230,7 @@ def _check_perfectness(P, pi, W, C):
             [sum(pb.i_ball_contains(pi, q, I, c, v) for c in words) for v in vectors]
         )
         assert pb.oracle_perfectness(C, P, pi, W, ideal=I) == expected, (C.k, I.members)
+        assert pb.is_I_perfect(C, I, pi) == (expected.disjoint and expected.covering)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
