@@ -44,6 +44,15 @@ def _auto_threads(value: str) -> int:
     return max(1, int(value))
 
 
+def _threads_flag(value: str) -> str:
+    """The raw --threads string, once _auto_threads can read it."""
+    try:
+        _auto_threads(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not auto or an integer: {value!r}") from None
+    return value
+
+
 def _emit(payload, fmt: str, table=None) -> None:
     if fmt == "csv" and table is not None:
         sys.stdout.write(table_to_csv(table))
@@ -228,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "csv"), default=None)
     parser.add_argument("--method", choices=METHODS + ("oracle",), default=None)
     parser.add_argument("--radius", type=int, default=None)
-    parser.add_argument("--threads", default="auto")
+    parser.add_argument("--threads", type=_threads_flag, default="auto")
     parser.add_argument("--cap-ideals", type=int, default=None)
     parser.add_argument("--cap-space", type=int, default=None)
     return parser

@@ -33,11 +33,15 @@ from .oracle import _pairwise_weights, _ranges, oracle_perfectness, space_cap
 from .poset import (
     Ideal,
     Poset,
+    _bits,
+    _sole_ideal,
     chain_order,
     classify,
     dual_poset,
     enumerate_ideals,
+    fold_ideals,
     ideal_closure,
+    ideal_masks,
 )
 from .space import LabelMap, pi_support, vector_sub
 from .weights import WeightModel, block_class_size, hamming_weight
@@ -307,13 +311,31 @@ class CodeReport:
         return asdict(self)
 
 
-def _max_ideal_k_sums(P: Poset, pi: LabelMap) -> dict:
-    """Cardinality c -> the largest sum(k_i, i in J) over the ideals J with |J| = c."""
-    best: dict = {}
-    for ideal in enumerate_ideals(P).ideals:
-        k_sum = sum(pi.k[i - 1] for i in ideal.members)
-        best[ideal.card] = max(best.get(ideal.card, 0), k_sum)
-    return best
+def _max_ideal_k_sums(P: Poset, pi: LabelMap) -> list[int]:
+    """best[c] = the largest sum(k_i, i in J) over the ideals J with |J| = c,
+    folded in max-plus form."""
+
+    def flat(piece: int) -> list[int]:
+        best = [0] * (piece.bit_count() + 1)
+        for ideal in ideal_masks(P, piece):
+            c = ideal.bit_count()
+            best[c] = max(best[c], sum(pi.k[i] for i in _bits(ideal)))
+        return best
+
+    def join(a: list[int], b: list[int]) -> list[int]:
+        best = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                best[i + j] = max(best[i + j], x + y)
+        return best
+
+    return fold_ideals(
+        P,
+        leaf=lambda i: [0, pi.k[i]],
+        flat=flat,
+        join=join,
+        stack=lambda low, below, high: low + [low[-1] + h for h in high[1:]],
+    )
 
 
 def singleton_report(
@@ -328,15 +350,17 @@ def singleton_report(
 
     The bound: max over ideals J of cardinality floor((d - m_w)/M_w) of
     sum(k_i, i in J) is at most N - log_q |C| = N - k; MDS means equality.
-    The Hamming swap gives the (P,pi) version with radius d_ppi - 1.
-    """
+    The Hamming swap gives the (P,pi) version with radius d_ppi - 1.  The
+    maxima fold P's decomposition; only pieces that do not decompose walk
+    their ideals, under the default ideal cap."""
     d_pwpi = min_distance(C, P, pi, W, cap=cap)
     d_ppi = min_distance(C, P, pi, hamming_weight(C.q), cap=cap)
     r_wtilde = (d_pwpi - W.m_w) // W.M_w
     rhs = pi.N - C.k
+    # every cardinality 0..n has an ideal, and 0 <= r_wtilde, d_ppi - 1 <= n
     best = _max_ideal_k_sums(P, pi)
-    lhs = best.get(r_wtilde, 0)
-    ppi_lhs = best.get(d_ppi - 1, 0)
+    lhs = best[r_wtilde]
+    ppi_lhs = best[d_ppi - 1]
     return CodeReport(
         d_pwpi=d_pwpi,
         d_ppi=d_ppi,
@@ -392,20 +416,20 @@ def verify_duality(
     """Four-way equivalence under a unique ideal of cardinality n - k/s.
 
     Requires equal blocks of size s with s | k and a unique ideal of that
-    cardinality.  Checks that C being MDS, C being I-perfect, the dual
-    being I^c-perfect in the dual poset, and the dual being MDS all agree.
+    cardinality, found with no enumeration (poset._sole_ideal).  Checks
+    that C being MDS, C being I-perfect, the dual being I^c-perfect in the
+    dual poset, and the dual being MDS all agree.
     """
     s = _equal_block_size(pi)
     if C.k % s != 0:
         raise HypothesisError(f"block size {s} does not divide dimension {C.k}")
     t = pi.n - C.k // s
-    family = enumerate_ideals(P)
-    tier = family.of_card(t)
-    if len(tier) != 1:
+    members = _sole_ideal(P, t)
+    if members is None:
         raise HypothesisError(
-            f"|I^{t}| = {len(tier)}, the duality theorem needs a unique ideal"
+            f"|I^{t}| > 1, the duality theorem needs a unique ideal"
         )
-    I = tier[0]
+    I = Ideal(n=P.n, members_mask=members, max_mask=P.maximals_mask(members))
     Pd = dual_poset(P)
     full = (1 << P.n) - 1
     comp_mask = full & ~I.members_mask

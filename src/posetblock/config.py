@@ -26,36 +26,53 @@ class InstanceConfig:
     fmt: str | None  # default output format; CLI --format overrides
 
 
+def _int(value, what: str) -> int:
+    """value itself if it is a JSON integer: never a bool, never rounded or parsed."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def parse_config(obj: dict) -> InstanceConfig:
     try:
-        q = int(obj["q"])
+        q = _int(obj["q"], "q")
         if q < 2:
             raise ConfigError(f"q = {q} must be at least 2")
         poset_obj = obj["poset"]
+        _int(poset_obj["n"], "poset n")
         for pair in poset_obj.get("relations", []):
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                 raise ConfigError(f"malformed relation pair: {pair!r}")
+            for v in pair:
+                _int(v, "relation endpoint")
         poset = poset_from_json(poset_obj)
-        pi = label_map(obj["pi"])
+        pi = label_map([_int(v, "block length") for v in obj["pi"]])
         if poset.n != pi.n:
             raise ConfigError(
                 f"poset has {poset.n} elements but pi lists {pi.n} blocks"
             )
-        weight = weight_from_json(q, obj.get("weight", "lee"))
+        weight_obj = obj.get("weight", "lee")
+        if isinstance(weight_obj, dict):
+            for v in weight_obj.get("table", []):
+                _int(v, "weight table entry")
+        weight = weight_from_json(q, weight_obj)
         code = None
         if "code" in obj:
             code_obj = obj["code"]
-            code_q = int(code_obj.get("q", q))
+            code_q = _int(code_obj.get("q", q), "code q")
             if code_q != q:
                 raise ConfigError(f"code q = {code_q} differs from instance q = {q}")
             code = linear_code(q, code_obj["generator"], n_cols=pi.N)
         ideal_members = None
         if "ideal" in obj:
-            ideal_members = tuple(int(v) for v in obj["ideal"])
+            ideal_members = tuple(_int(v, "ideal element") for v in obj["ideal"])
             for v in ideal_members:
                 if not 1 <= v <= poset.n:
                     raise ConfigError(f"ideal element {v} outside [1, {poset.n}]")
         caps = dict(obj.get("caps", {}))
+        for key, value in caps.items():
+            if value is not None:  # null means unset
+                _int(value, f"cap {key!r}")
         method = obj.get("method")
         if method is not None and method not in METHODS + ("oracle",):
             raise ConfigError(f"unknown method {method!r}")

@@ -9,10 +9,10 @@ paper's sum over the partitions of r - c*M_w into |Max I| parts in
 order, is exactly the coefficient extraction of this product.
 
 With F(P) = sum_r |A_r| x^r (the empty ideal gives |A_0| = 1), the general
-method splits P into series-parallel pieces: a disjoint union multiplies,
-an ordinal sum with P1 below P2 gives F(P1) + x^(M_w|P1|) q^(k(P1))
-(F(P2) - 1), and a single element gives 1 + D_k(x).  Only a piece that
-is neither sums the products over its ideal lattice.  The hierarchical
+method runs poset.fold_ideals with this arithmetic: a single element gives
+1 + D_k(x), a disjoint union multiplies, and an ordinal sum with P1 below
+P2 gives F(P1) + x^(M_w|P1|) q^(k(P1)) (F(P2) - 1).  Only a piece that is
+neither sums the products over its ideal lattice.  The hierarchical
 theorem's level form is the special case of an ordinal sum of antichains.
 The chain method is the paper's chain closed form.  Both methods must
 agree exactly with each other and with the brute oracle.
@@ -27,7 +27,15 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BoundsError, PreconditionError
-from .poset import IDEAL_CAP_DEFAULT, Poset, _bits, chain_order, classify, ideal_masks
+from .poset import (
+    IDEAL_CAP_DEFAULT,
+    Poset,
+    _bits,
+    chain_order,
+    classify,
+    fold_ideals,
+    ideal_masks,
+)
 from .space import LabelMap
 from .weights import WeightModel, block_class_size
 
@@ -131,23 +139,6 @@ def _ideal_sum(P: Poset, pi: LabelMap, W: WeightModel, piece: int, cap: int) -> 
     return counts
 
 
-def _components(piece: int, adjacent) -> list[int]:
-    """Connected components of the graph on piece with i ~ j iff bit j of adjacent[i]."""
-    parts = []
-    left = piece
-    while left:
-        part = grown = left & -left
-        while grown:
-            reach = 0
-            for i in _bits(grown):
-                reach |= adjacent[i]
-            grown = reach & left & ~part
-            part |= grown
-        parts.append(part)
-        left &= ~part
-    return parts
-
-
 def distribution_general(
     P: Poset,
     pi: LabelMap,
@@ -155,44 +146,27 @@ def distribution_general(
     *,
     ideal_cap: int = IDEAL_CAP_DEFAULT,
 ) -> DistributionTable:
-    """F(P) by series-parallel decomposition; works for every instance.
+    """F(P) by the series-parallel fold; works for every instance.
 
     A disjoint union multiplies, F(P1 + P2) = F(P1) F(P2), and an ordinal
     sum with P1 below P2 gives F(P1) + x^(M_w |P1|) q^(k(P1)) (F(P2) - 1).
     Only a piece that is neither enumerates its ideals, under ideal_cap.
     """
     _check_dims(P, pi)
-    q, M_w = W.q, W.M_w
-    comparable = [P.down[i] | P.up[i] for i in range(P.n)]
-    incomparable = [~c for c in comparable]
 
-    def F(piece: int) -> list[int]:
-        if piece & (piece - 1) == 0:
-            return _class_poly(W, pi.k[piece.bit_length() - 1], constant=1)
-        parts = _components(piece, comparable)
-        if len(parts) > 1:
-            poly = [1]
-            for part in parts:
-                poly = _poly_mul(poly, F(part))
-            return poly
-        parts = _components(piece, incomparable)
-        if len(parts) == 1:
-            return _ideal_sum(P, pi, W, piece, ideal_cap)
-        # bottom first: every element of a lower summand lies below every
-        # element of a higher one, so it has fewer elements below it
-        parts.sort(key=lambda part: (P.down[part.bit_length() - 1] & piece).bit_count())
-        counts = [0] * (piece.bit_count() * M_w + 1)
-        counts[0] = 1
-        size = exp = 0
-        for part in parts:
-            poly, scale = F(part), q**exp
-            for b in range(1, len(poly)):
-                counts[size * M_w + b] += scale * poly[b]
-            size += part.bit_count()
-            exp += sum(pi.k[i] for i in _bits(part))
-        return counts
+    def stack(low: list[int], below: int, high: list[int]) -> list[int]:
+        # low has degree M_w |below|, so the shifted F(P2) - 1 starts just past it
+        scale = W.q ** sum(pi.k[i] for i in _bits(below))
+        return low + [scale * c for c in high[1:]]
 
-    return _table(pi, W, F((1 << P.n) - 1), "general")
+    counts = fold_ideals(
+        P,
+        leaf=lambda i: _class_poly(W, pi.k[i], constant=1),
+        flat=lambda piece: _ideal_sum(P, pi, W, piece, ideal_cap),
+        join=_poly_mul,
+        stack=stack,
+    )
+    return _table(pi, W, counts, "general")
 
 
 def distribution_chain(P: Poset, pi: LabelMap, W: WeightModel) -> DistributionTable:

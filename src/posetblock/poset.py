@@ -1,4 +1,4 @@
-"""Finite posets on {1,...,n}: ideals, ideal families, classifiers, duals.
+"""Finite posets on {1,...,n}: ideals, the series-parallel fold, classifiers, duals.
 
 Elements are 1-indexed at the API boundary (matching the usual convention
 for coordinate labels) and 0-indexed internally.  Every subset of the
@@ -9,6 +9,8 @@ maximal-element and comparability queries are single integer operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -247,6 +249,54 @@ def enumerate_ideals(P: Poset, *, cap: int = IDEAL_CAP_DEFAULT) -> IdealFamily:
     return IdealFamily(poset=P, ideals=ideals)
 
 
+def _components(piece: int, adjacent) -> list[int]:
+    """Connected components of the graph on piece with i ~ j iff bit j of adjacent[i]."""
+    parts = []
+    left = piece
+    while left:
+        part = grown = left & -left
+        while grown:
+            reach = 0
+            for i in _bits(grown):
+                reach |= adjacent[i]
+            grown = reach & left & ~part
+            part |= grown
+        parts.append(part)
+        left &= ~part
+    return parts
+
+
+def fold_ideals(P: Poset, leaf, flat, join, stack):
+    """Answer a question about P's ideal lattice by folding its series-parallel
+    decomposition (Stanley, Enumerative Combinatorics 1, ch. 3): element i
+    (0-indexed) gives leaf(i), a disjoint union joins its parts' values,
+    join(a, b), and an ordinal sum stacks each summand onto the value low of
+    the summands in the mask below it, stack(low, below, high).  Only a piece
+    that is neither gives flat(piece), which walks its ideal_masks."""
+    comparable = [P.down[i] | P.up[i] for i in range(P.n)]
+    incomparable = [~c for c in comparable]
+
+    def fold(piece: int):
+        if piece & (piece - 1) == 0:
+            return leaf(piece.bit_length() - 1)
+        parts = _components(piece, comparable)
+        if len(parts) > 1:
+            return reduce(join, map(fold, parts))
+        parts = _components(piece, incomparable)
+        if len(parts) == 1:
+            return flat(piece)
+        # bottom first: every element of a lower summand lies below every
+        # element of a higher one, so it has fewer elements below it
+        parts.sort(key=lambda part: (P.down[part.bit_length() - 1] & piece).bit_count())
+        value, below = fold(parts[0]), parts[0]
+        for part in parts[1:]:
+            value = stack(value, below, fold(part))
+            below |= part
+        return value
+
+    return fold((1 << P.n) - 1)
+
+
 def dual_poset(P: Poset) -> Poset:
     """Order-reversed poset; its ideals are the complements of P's ideals."""
     return Poset(n=P.n, down=P.up, up=P.down)
@@ -272,23 +322,26 @@ def level_decomposition(P: Poset) -> LevelDecomposition:
     )
 
 
+def _sole_ideal(P: Poset, t: int) -> int | None:
+    """Mask of P's only ideal of cardinality t, or None if it has several.
+
+    The first t elements of a linear extension form an ideal.  If an element
+    outside is not above all of it, some maximal a inside and minimal b
+    outside are incomparable, and swapping a for b gives another."""
+    order = sorted(range(P.n), key=lambda i: P.down[i].bit_count())
+    ideal = sum(1 << i for i in order[:t])
+    return ideal if all(P.down[j] & ideal == ideal for j in order[t:]) else None
+
+
 def classify(P: Poset) -> PosetClass:
-    """Chain / antichain / hierarchical classification with the level data."""
+    """Chain / antichain / hierarchical classification with the level data.
+
+    Hierarchical: the levels up to each boundary are P's only ideal of their
+    size (see _sole_ideal), so every higher element lies above all of them."""
     levels = level_decomposition(P)
-    hier = True
-    for lo in range(len(levels.levels) - 1):
-        for hi in range(lo + 1, len(levels.levels)):
-            for a in levels.levels[lo]:
-                for b in levels.levels[hi]:
-                    if not P.leq(a, b):
-                        hier = False
-                        break
-                if not hier:
-                    break
-            if not hier:
-                break
-        if not hier:
-            break
+    full = (1 << P.n) - 1
+    lowest = accumulate(sum(1 << (a - 1) for a in lvl) for lvl in levels.levels[:-1])
+    hier = all(P.down[j] & below == below for below in lowest for j in _bits(full & ~below))
     is_chain = hier and all(s == 1 for s in levels.level_sizes)
     is_antichain = levels.height == 1
     return PosetClass(

@@ -389,6 +389,35 @@ FLAGS = ["--config", "x.json", "--format", "csv", "--method", "chain", "--radius
          "--threads", "2", "--cap-ideals", "10", "--cap-space", "100"]
 
 
+def test_config_numbers_must_be_integers(tmp_path, capsys):
+    cases = [
+        ("distribution", dict(EX45, q=7.9)),  # int() ran it as q = 7
+        ("distribution", dict(EX45, q=True)),
+        ("distribution", dict(EX45, pi=[2, 3, 4, 2, 2.5])),
+        ("distribution", dict(EX45, poset={"n": 5, "relations": [[1, 2.0]]})),
+        ("distribution", dict(EX45, poset={"n": 5.9, "relations": [[1, 2]]})),
+        ("distribution", dict(EX45, weight={"table": [0, 1, 2, 3.5, 3, 2, 1]})),
+        ("construct", dict(EX45, ideal=["1"])),
+        ("distribution", dict(EX45, caps={"ideals": "100"})),  # a TypeError traceback
+        ("oracle-compare", dict(EX45, caps={"space": "100"})),
+    ]
+    for command, cfg in cases:
+        code, out, err = run(capsys, command, "--config", _write(tmp_path, cfg))
+        assert (code, out) == (2, ""), cfg
+        assert "must be an integer" in err
+    # a null cap is unset, as when the key is absent
+    code, out, _ = run(capsys, "distribution", "--config",
+                       _write(tmp_path, dict(EX45, caps={"ideals": None, "space": None})))
+    assert code == 0 and json.loads(out)["counts"][3]["count"] == "35384"
+
+
+def test_bad_threads_exits_2(cfg45, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["distribution", "--config", cfg45, "--threads", "abc"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_every_command_takes_every_flag():
     parser = cli.build_parser()
     for name in cli.COMMANDS:

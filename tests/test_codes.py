@@ -249,19 +249,37 @@ def test_singleton_report_examples(ex69, ex73):
     assert not rep2.is_mds_pwpi and rep2.is_mds_ppi
 
 
-def test_singleton_report_enumerates_ideals_once(ex69, monkeypatch):
+def test_singleton_report_enumerates_no_ideal(ex69, monkeypatch):
+    # ex69 is a disjoint union of ordinal sums of single elements, so the
+    # fold reaches no piece whose ideals it must walk
     P, pi, W, C = ex69
     calls = []
-    real = pb.codes.enumerate_ideals
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(pb.codes, "enumerate_ideals", counted)
+        return wrapper
+
+    for module in (pb.codes, pb.poset):
+        for name in ("enumerate_ideals", "ideal_masks"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
     rep = pb.singleton_report(C, P, pi, W)
-    assert len(calls) == 1
+    assert calls == []
     assert (rep.singleton_lhs, rep.ppi_lhs) == (6, 7)
+
+
+@pytest.mark.parametrize("n, expected", [(20, (6, 19)), (24, (7, 23))])
+def test_singleton_report_on_large_antichains(n, expected):
+    # 2^24 ideals exceed the ideal cap; the max-plus fold never lists them
+    P = antichain(n)
+    pi = pb.label_map([1] * n)
+    C = pb.linear_code(7, [[1] * n])
+    start = time.perf_counter()
+    rep = pb.singleton_report(C, P, pi, lee(7))
+    assert time.perf_counter() - start < 0.05
+    assert (rep.singleton_lhs, rep.ppi_lhs) == expected
 
 
 def test_singleton_full_space_is_mds():
@@ -347,6 +365,17 @@ def test_verify_duality_on_chains():
         C = pb.chain_mds_code(P, pi, q, dim)
         assert pb.verify_duality(C, P, pi, W)
         cases += 1
+
+
+def test_verify_duality_enumerates_no_ideal(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_duality walked an ideal lattice")
+
+    monkeypatch.setattr(pb.codes, "enumerate_ideals", refuse)
+    monkeypatch.setattr(pb.codes, "ideal_masks", refuse)
+    P = chain(4)
+    pi = pb.label_map([2] * 4)
+    assert pb.verify_duality(pb.chain_mds_code(P, pi, 5, 4), P, pi, lee(5))
 
 
 def test_verify_duality_whole_space_on_chain():

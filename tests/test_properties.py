@@ -25,6 +25,7 @@ from __future__ import annotations
 import warnings
 from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -170,6 +171,26 @@ def test_decomposition_equals_flat_ideal_sum(instance):
     table = pb.distribution_general(P, pi, W)
     assert table.counts == tuple(flat)
     assert table.check_normalization()
+    best = [0] * (P.n + 1)
+    for I in pb.enumerate_ideals(P).ideals:
+        best[I.card] = max(best[I.card], sum(pi.k[i - 1] for i in I.members))
+    assert pb.codes._max_ideal_k_sums(P, pi) == best
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(random_posets(5))
+def test_verify_duality_needs_a_unique_ideal(P):
+    # unit blocks: the transversal code on an ideal of size t has k = n - t,
+    # so verify_duality asks for the ideal of cardinality t
+    pi = pb.label_map([1] * P.n)
+    family = pb.enumerate_ideals(P)
+    for t in range(P.n + 1):
+        C = pb.construct_I_perfect(P, pi, family.of_card(t)[0], 2)
+        if len(family.of_card(t)) == 1:
+            assert pb.verify_duality(C, P, pi, pb.hamming_weight(2))
+        else:
+            with pytest.raises(pb.HypothesisError):
+                pb.verify_duality(C, P, pi, pb.hamming_weight(2))
 
 
 PERFECTNESS_PAIRS = 3**7  # vectors x codewords the brute force visits
