@@ -57,8 +57,7 @@ def _emit(payload, fmt: str, table=None) -> None:
     if fmt == "csv" and table is not None:
         sys.stdout.write(table_to_csv(table))
     else:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _caps(cfg: InstanceConfig, args) -> tuple:

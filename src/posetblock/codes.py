@@ -2,14 +2,14 @@
 
 The generator is kept in reduced row-echelon form.  Every I-ball verdict
 is a rank test over F_q: C meets B_I(0) only in 0 exactly when the
-generator's columns on the blocks outside I have rank k.  Only
-`codewords`, minimum distances and the oracle's I-ball counts enumerate
-the q^k codewords, under a cap.  The module covers I-balls, I-perfect /
-r-perfect / r-error-correcting checks, the Singleton bound and MDS status
-in both the weighted and the Hamming-specialized metric, dual codes, the
-four-way duality equivalence under a unique ideal, the transversal
-I-perfect construction, and the closed-form weight distribution of MDS
-chain codes.
+generator's columns on the blocks outside I have rank k; r-ball verdicts
+are the oracle's per-coset count.  Only `codewords` and minimum distances
+enumerate the q^k codewords, under a cap.  The module covers I-balls,
+I-perfect / r-perfect / r-error-correcting checks, the Singleton bound
+and MDS status in both the weighted and the Hamming-specialized metric,
+dual codes, the four-way duality equivalence under a unique ideal, the
+transversal I-perfect construction, and the closed-form weight
+distribution of MDS chain codes.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .poset import (
     chain_order,
     classify,
     dual_poset,
-    enumerate_ideals,
     fold_ideals,
     ideal_closure,
     ideal_masks,
@@ -181,38 +180,16 @@ def _packs(C: LinearCode, pi: LabelMap, mask: int) -> bool:
     return len(reduced) == C.k
 
 
-def is_I_perfect(
-    C: LinearCode,
-    I: Ideal,
-    pi: LabelMap,
-    *,
-    P: Poset | None = None,
-    W: WeightModel | None = None,
-    debug: bool = False,
-    cap: int = CODEWORD_CAP_DEFAULT,
-) -> bool:
+def is_I_perfect(C: LinearCode, I: Ideal, pi: LabelMap) -> bool:
     """Covering condition sum(k_i, i in I) = N - k plus packing |B_I(0) & C| = 1.
 
     Packing is a rank test: the generator's columns outside I have rank k.
-    No codeword is enumerated, so cap bounds only the debug check: with
-    debug=True (and P, W given) the equivalent partition condition is
-    re-checked by the oracle's per-class count of the codewords, under
-    that codeword cap; disagreement is a bug.
+    No codeword is enumerated, and neither the poset nor the weight enters.
     """
     if C.n_cols != pi.N:
         raise DimensionError(f"code length {C.n_cols} != N = {pi.N}")
     covering = sum(pi.k[i - 1] for i in I.members) == pi.N - C.k
-    verdict = covering and _packs(C, pi, I.members_mask)
-    if debug:
-        if P is None or W is None:
-            raise BoundsError("debug check needs P and W")
-        res = oracle_perfectness(C, P, pi, W, ideal=I, codeword_cap=cap)
-        if (res.disjoint and res.covering) != verdict:
-            raise ConsistencyError(
-                f"I-perfect mismatch: conditions say {verdict}, sweep says "
-                f"{res.disjoint and res.covering}"
-            )
-    return verdict
+    return covering and _packs(C, pi, I.members_mask)
 
 
 def is_r_perfect(
@@ -267,7 +244,6 @@ def is_r_error_correcting(
     *,
     cap: int | None = None,
     codeword_cap: int = CODEWORD_CAP_DEFAULT,
-    debug: bool = False,
 ) -> bool:
     """Whether the r-balls centered at codewords are pairwise disjoint."""
     if r < 0:
@@ -275,25 +251,12 @@ def is_r_error_correcting(
     if C.k == 0:
         return True
     if C.q**pi.N <= space_cap(cap):
-        res = oracle_perfectness(C, P, pi, W, radius=r, cap=cap)
-        verdict = res.disjoint
-    elif min_distance(C, P, pi, W, cap=codeword_cap) > 2 * r:
-        verdict = True
-    else:
-        raise ExplosionError(
-            "space over cap and the distance criterion cannot certify disjointness"
-        )
-    if debug and verdict and W.M_w and r % W.M_w == 0:
-        # consequence check: differences of codewords avoid B_{I union J}
-        tier = enumerate_ideals(P).of_card(r // W.M_w)
-        for I in tier:
-            for J in tier:
-                if not _packs(C, pi, I.members_mask | J.members_mask):
-                    raise ConsistencyError(
-                        "a nonzero codeword lies in the "
-                        f"{I.members} union {J.members} ball"
-                    )
-    return verdict
+        return oracle_perfectness(C, P, pi, W, radius=r, cap=cap).disjoint
+    if min_distance(C, P, pi, W, cap=codeword_cap) > 2 * r:
+        return True
+    raise ExplosionError(
+        "space over cap and the distance criterion cannot certify disjointness"
+    )
 
 
 @dataclass(frozen=True)

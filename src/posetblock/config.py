@@ -59,10 +59,15 @@ def parse_config(obj: dict) -> InstanceConfig:
         code = None
         if "code" in obj:
             code_obj = obj["code"]
+            if not isinstance(code_obj, dict):
+                raise ConfigError(f"code must be an object, got {code_obj!r}")
             code_q = _int(code_obj.get("q", q), "code q")
             if code_q != q:
                 raise ConfigError(f"code q = {code_q} differs from instance q = {q}")
-            code = linear_code(q, code_obj["generator"], n_cols=pi.N)
+            rows = [
+                [_int(v, "generator entry") for v in row] for row in code_obj["generator"]
+            ]
+            code = linear_code(q, rows, n_cols=pi.N)
         ideal_members = None
         if "ideal" in obj:
             ideal_members = tuple(_int(v, "ideal element") for v in obj["ideal"])

@@ -8,11 +8,10 @@ closure/maximals rule.  One kernel does this weighing for every sweep.
 Nothing here touches the ideal/partition counting machinery, so agreement
 with the closed forms is a real theorem check.
 
-Perfectness verdicts count per class instead of per codeword, using only
-the linearity of the code: a vector's number of r-balls is the number of
-ball vectors in its coset, counted in one sweep keyed by coset
-representative; its number of I-balls is the number of codewords that
-agree with it outside I, one count over the codewords.
+Perfectness verdicts count per coset instead of per codeword, using only
+the linearity of the code: r-balls and I-balls are both translates of a
+ball around 0, so a vector's number of balls is the number of ball
+vectors in its coset, counted in one sweep keyed by coset representative.
 """
 
 from __future__ import annotations
@@ -257,28 +256,9 @@ def oracle_distribution(
     )
 
 
-def _outside_key_counts(code, pi: LabelMap, q: int, ideal, codeword_cap):
-    """(max, min) over the values of the blocks outside the ideal of the
-    number of codewords taking that value."""
-    from .codes import CODEWORD_CAP_DEFAULT, _codeword_matrix
-
-    cap = CODEWORD_CAP_DEFAULT if codeword_cap is None else codeword_cap
-    words = _codeword_matrix(code, cap)
-    key = np.zeros(len(words), dtype=np.int64)
-    width = 0
-    for i in range(pi.n):
-        if not (ideal.members_mask >> i) & 1:
-            sl = pi.block_slice(i + 1)
-            for pos in range(sl.start, sl.stop):
-                key = key * q + words[:, pos]
-            width += pi.k[i]
-    values, counts = np.unique(key, return_counts=True)
-    # a value no codeword takes has multiplicity 0
-    return int(counts.max()), (int(counts.min()) if len(values) == q**width else 0)
-
-
-def _coset_ball_counts(code, weigh, q: int, N: int, radius: int):
-    """(max, min) over the cosets of C of the number of vectors of weight <= radius.
+def _coset_ball_counts(code, member, q: int, N: int):
+    """(max, min) over the cosets of C of the number of ball vectors, where
+    member(lo, hi) marks the ball vectors among the indices in [lo, hi).
 
     A ball vector u is keyed by the representative of u + C that is zero on
     the pivot columns of the reduced generator G: u - u[pivots] G, read as a
@@ -291,12 +271,12 @@ def _coset_ball_counts(code, weigh, q: int, N: int, radius: int):
     place = [q ** (N - 1 - c) for c in range(N)]
     if not pivots:
         # the zero code: each coset is one vector, 0 among the ball vectors
-        inside = sum(int((weigh(lo, hi) <= radius).sum()) for lo, hi in _ranges(total))
+        inside = sum(int(member(lo, hi).sum()) for lo, hi in _ranges(total))
         return 1, int(inside == total)
     free = [c for c in range(N) if c not in pivots]
     counts = np.zeros(q ** len(free), dtype=np.int64)
     for lo, hi in _ranges(total):
-        idx = lo + np.flatnonzero(weigh(lo, hi) <= radius)
+        idx = lo + np.flatnonzero(member(lo, hi))
         key = np.zeros(len(idx), dtype=np.int64)
         for f in free:
             sym = (idx // place[f]) % q
@@ -317,23 +297,20 @@ def oracle_perfectness(
     ideal=None,
     radius: int | None = None,
     cap: int | None = None,
-    codeword_cap: int | None = None,
 ) -> PerfectnessResult:
-    """Exact disjointness/covering verdict for I-balls or r-balls, counted per class.
+    """Exact disjointness/covering verdict for I-balls or r-balls, counted per coset.
 
     Exactly one of ideal / radius must be given.  A vector's multiplicity is
     the number of balls around codewords that contain it; the result gives
     its largest and smallest value over the space.
 
-    r-balls: v lies in B_r(c) iff w(v - c) <= r, and v - C = v + C, so v's
-    multiplicity is the number of vectors of weight <= r in its coset v + C.
-    One pass weighs every vector once and counts the ball vectors per coset
-    (O(q^N) time, O(chunk + q^(N-k)) memory); no codeword is enumerated.
-
-    I-balls: v lies in B_I(c) iff v and c agree on every block outside I, so
-    the multiplicities are the codeword counts per outside-I value, from the
-    codewords enumerated under codeword_cap (default CODEWORD_CAP_DEFAULT),
-    in O(|C|) memory whatever the size of the space.
+    Both balls are translates of one ball around 0: B_r(0) = {u : w(u) <= r}
+    and B_I(0) = {u : supp_pi(u) inside I}.  v lies in B(c) iff v - c lies
+    in B(0), and v - C = v + C, so v's multiplicity is the number of ball
+    vectors in its coset v + C.  One pass marks every vector of the space
+    (by weight, or by its blocks outside I being zero) and counts the ball
+    vectors per coset (O(q^N) time, O(chunk + q^(N-k)) memory); no codeword
+    is enumerated.
     """
     if (ideal is None) == (radius is None):
         raise BoundsError("give exactly one of ideal= or radius=")
@@ -342,12 +319,25 @@ def oracle_perfectness(
     q = W.q
     _check_cap(q, pi.N, cap)
     if ideal is not None:
-        max_mult, min_mult = _outside_key_counts(code, pi, q, ideal, codeword_cap)
+        sizes, places = _index_places(pi, q)
+        outside = [i for i in range(pi.n) if not (ideal.members_mask >> i) & 1]
+
+        def member(lo: int, hi: int) -> np.ndarray:
+            idx = np.arange(lo, hi, dtype=np.int64)
+            inside = np.ones(hi - lo, dtype=bool)
+            for i in outside:  # block i's value, idx // places[i] % sizes[i], is 0
+                inside &= idx % (places[i] * sizes[i]) < places[i]
+            return inside
+
     else:
         if radius < 0:
             raise BoundsError(f"radius {radius} < 0")
         weigh = _weigher(P, pi, W)
-        max_mult, min_mult = _coset_ball_counts(code, weigh, q, pi.N, radius)
+
+        def member(lo: int, hi: int) -> np.ndarray:
+            return weigh(lo, hi) <= radius
+
+    max_mult, min_mult = _coset_ball_counts(code, member, q, pi.N)
     return PerfectnessResult(
         disjoint=max_mult <= 1,
         covering=min_mult >= 1,

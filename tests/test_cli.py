@@ -400,11 +400,19 @@ def test_config_numbers_must_be_integers(tmp_path, capsys):
         ("construct", dict(EX45, ideal=["1"])),
         ("distribution", dict(EX45, caps={"ideals": "100"})),  # a TypeError traceback
         ("oracle-compare", dict(EX45, caps={"space": "100"})),
+        # true ran as 1; a float failed inside the rank reduction
+        ("distribution", dict(EX45, code={"generator": [[True] + [0] * 12]})),
+        ("distribution", dict(EX45, code={"generator": [[1.0] + [0] * 12]})),
     ]
     for command, cfg in cases:
         code, out, err = run(capsys, command, "--config", _write(tmp_path, cfg))
         assert (code, out) == (2, ""), cfg
         assert "must be an integer" in err
+    # a code that is not an object gave an AttributeError traceback, exit 1
+    cfg = dict(EX45, code=[[1] * 13])
+    code, out, err = run(capsys, "distribution", "--config", _write(tmp_path, cfg))
+    assert (code, out) == (2, "")
+    assert "code must be an object" in err
     # a null cap is unset, as when the key is absent
     code, out, _ = run(capsys, "distribution", "--config",
                        _write(tmp_path, dict(EX45, caps={"ideals": None, "space": None})))

@@ -105,11 +105,13 @@ def test_i_ball_contains(ex69):
 def test_is_I_perfect_example(ex69):
     P, pi, W, C = ex69
     fam = pb.enumerate_ideals(P)
-    for I in fam.of_card(4):
-        assert pb.is_I_perfect(C, I, pi)
-        assert pb.is_I_perfect(C, I, pi, P=P, W=W, debug=True)
-    for I in fam.of_card(3):
-        assert not pb.is_I_perfect(C, I, pi)
+    for t, perfect in [(4, True), (3, False)]:
+        for I in fam.of_card(t):
+            assert pb.is_I_perfect(C, I, pi) == perfect
+            # the oracle's per-coset count of the I-balls agrees, under either weight
+            for weight in (W, pb.hamming_weight(7)):
+                res = pb.oracle_perfectness(C, P, pi, weight, ideal=I)
+                assert (res.disjoint and res.covering) == perfect
 
 
 def test_is_I_perfect_trivial_and_counterexample():
@@ -134,9 +136,10 @@ def test_is_I_perfect_metric_free(ex69):
     P, pi, W, C = ex69
     fam = pb.enumerate_ideals(P)
     for I in fam.ideals:
-        lee_v = pb.is_I_perfect(C, I, pi, P=P, W=W, debug=True)
-        ham_v = pb.is_I_perfect(C, I, pi, P=P, W=pb.hamming_weight(7), debug=True)
-        assert lee_v == ham_v
+        verdict = pb.is_I_perfect(C, I, pi)
+        for weight in (W, pb.hamming_weight(7)):
+            res = pb.oracle_perfectness(C, P, pi, weight, ideal=I)
+            assert (res.disjoint and res.covering) == verdict, (I.members, weight.name)
 
 
 def test_r_perfect_trivial():
@@ -202,8 +205,12 @@ def test_unique_ideal_r_perfect_equivalence():
             if C.k == 0:
                 continue
             assert pb.is_I_perfect(C, I, pi) == pb.is_r_perfect(C, t * W.M_w, P, pi, W)
-            # debug mode re-checks the codeword-difference consequence
-            assert pb.is_r_error_correcting(C, t * W.M_w, P, pi, W, debug=True)
+            assert pb.is_r_error_correcting(C, t * W.M_w, P, pi, W)
+            # disjoint t*M_w-balls: no nonzero codeword lies in B_{I2 u J2}(0)
+            tier = fam.of_card(t)
+            for I2 in tier:
+                for J2 in tier:
+                    assert pb.codes._packs(C, pi, I2.members_mask | J2.members_mask)
 
 
 def test_two_ideal_counterexample_not_r_perfect(ex69):
@@ -262,9 +269,12 @@ def test_singleton_report_enumerates_no_ideal(ex69, monkeypatch):
 
         return wrapper
 
-    for module in (pb.codes, pb.poset):
-        for name in ("enumerate_ideals", "ideal_masks"):
-            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    for module, name in [
+        (pb.poset, "enumerate_ideals"),
+        (pb.poset, "ideal_masks"),
+        (pb.codes, "ideal_masks"),
+    ]:
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     rep = pb.singleton_report(C, P, pi, W)
     assert calls == []
     assert (rep.singleton_lhs, rep.ppi_lhs) == (6, 7)
@@ -371,7 +381,7 @@ def test_verify_duality_enumerates_no_ideal(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("verify_duality walked an ideal lattice")
 
-    monkeypatch.setattr(pb.codes, "enumerate_ideals", refuse)
+    monkeypatch.setattr(pb.poset, "enumerate_ideals", refuse)
     monkeypatch.setattr(pb.codes, "ideal_masks", refuse)
     P = chain(4)
     pi = pb.label_map([2] * 4)

@@ -128,35 +128,6 @@ def test_space_cap_never_exceeds_int64(monkeypatch):
         assert pb.is_r_error_correcting(C, 0, P, pi, W, cap=cap)
 
 
-def test_perfectness_ideal_mode_honours_codeword_cap():
-    P = antichain(2)
-    pi = pb.label_map([2, 2])
-    W = pb.lee_weight(3)
-    C = pb.linear_code(3, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 2]])  # 27 words
-    I = pb.ideal_closure(P, {1})
-    with pytest.raises(pb.ExplosionError):
-        pb.oracle_perfectness(C, P, pi, W, ideal=I, codeword_cap=26)
-    res = pb.oracle_perfectness(C, P, pi, W, ideal=I, codeword_cap=27)
-    assert res == pb.oracle_perfectness(C, P, pi, W, ideal=I)
-
-
-def test_is_I_perfect_debug_passes_its_cap(monkeypatch, ex69):
-    P, pi, W, C = ex69
-    I = pb.enumerate_ideals(P).of_card(4)[0]
-    seen = []
-    real = pb.codes.oracle_perfectness
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs.get("codeword_cap"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(pb.codes, "oracle_perfectness", spy)
-    assert pb.is_I_perfect(C, I, pi, P=P, W=W, debug=True, cap=7)
-    assert seen == [7]
-    with pytest.raises(pb.ExplosionError):
-        pb.is_I_perfect(C, I, pi, P=P, W=W, debug=True, cap=6)
-
-
 def test_perfectness_radius_mode_enumerates_no_codeword():
     # |C| = 3^4 is over a codeword cap of 10, q^N = 3^6 within the space cap
     P = chain(3)
@@ -167,15 +138,30 @@ def test_perfectness_radius_mode_enumerates_no_codeword():
     with pytest.raises(pb.ExplosionError):
         pb.codewords(C, cap=10)
     for r in range(pi.n * W.M_w + 1):
-        res = pb.oracle_perfectness(C, P, pi, W, radius=r, codeword_cap=10)
-        assert res == pb.oracle_perfectness(C, P, pi, W, radius=r)
+        res = pb.oracle_perfectness(C, P, pi, W, radius=r)
         assert res.disjoint == (r < 2)  # B_r(0) holds a nonzero codeword from r = 2
         assert pb.is_r_error_correcting(C, r, P, pi, W, codeword_cap=10) == res.disjoint
-        assert (
-            pb.is_r_error_correcting(C, r, P, pi, W, codeword_cap=10, debug=True)
-            == res.disjoint
-        )
-    assert pb.oracle_perfectness(C, P, pi, W, radius=1, codeword_cap=10).covering
+    assert pb.oracle_perfectness(C, P, pi, W, radius=1).covering
+
+
+def test_perfectness_enumerates_no_codeword(monkeypatch):
+    # both ball kinds are counted per coset: no mode builds the codewords
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle_perfectness enumerated the codewords")
+
+    monkeypatch.setattr(pb.codes, "_codeword_matrix", refuse)
+    P = chain(3)
+    pi = pb.label_map([2, 2, 2])
+    W = pb.lee_weight(3)
+    # C = the vectors that vanish on block 1: |B_I(0) & C| = 3^(2(|I| - 1)), |I| >= 1
+    C = pb.construct_I_perfect(P, pi, pb.ideal_closure(P, {1}), 3)
+    for t, mult in [(0, (1, 0)), (1, (1, 1)), (2, (9, 9)), (3, (81, 81))]:
+        I = pb.ideal_closure(P, range(1, t + 1))
+        res = pb.oracle_perfectness(C, P, pi, W, ideal=I)
+        assert (res.max_multiplicity, res.min_multiplicity) == mult, t
+    assert pb.oracle_perfectness(C, P, pi, W, radius=1) == pb.PerfectnessResult(
+        disjoint=True, covering=True, max_multiplicity=1, min_multiplicity=1
+    )
 
 
 def test_perfectness_ideal_mode(ex69):

@@ -16,8 +16,10 @@ For perfectness it draws a small space (q^N <= 3^6), a linear code of
 dimension 1 up to N, and a weight as above; for that code and for the zero
 code, both branches of oracle_perfectness, at every radius and for every
 ideal, must equal the multiplicities found by testing every vector against
-every codeword, and min_distance, under the weight and under Hamming,
-must equal the least pwpi_weight over the nonzero codewords.
+every codeword, is_I_perfect must match the I-ball verdict, disjoint
+r-balls with M_w | r must leave every B_{I u J}(0) with |I| = |J| = r/M_w
+free of nonzero codewords, and min_distance, under the weight and under
+Hamming, must equal the least pwpi_weight over the nonzero codewords.
 """
 
 from __future__ import annotations
@@ -243,10 +245,17 @@ def _check_perfectness(P, pi, W, C):
     assert len(vectors) * len(words) <= PERFECTNESS_PAIRS
     # v lies in B_r(c) iff d(v, c) <= r: one distance per vector and codeword
     dist = [[pb.pwpi_distance(P, pi, W, v, c) for c in words] for v in vectors]
+    family = pb.enumerate_ideals(P)
     for r in range(pi.n * W.M_w + 1):
         expected = _verdict([sum(d <= r for d in row) for row in dist])
         assert pb.oracle_perfectness(C, P, pi, W, radius=r) == expected, (C.k, r)
-    for I in pb.enumerate_ideals(P).ideals:
+        if expected.disjoint and r % W.M_w == 0:
+            # u in B_I(0), v in B_J(0) weigh at most r, so a nonzero codeword
+            # u - v would put u in two balls: none lies in B_{I u J}(0)
+            tier = family.of_card(r // W.M_w)
+            for I, J in product(tier, repeat=2):
+                assert pb.codes._packs(C, pi, I.members_mask | J.members_mask), r
+    for I in family.ideals:
         expected = _verdict(
             [sum(pb.i_ball_contains(pi, q, I, c, v) for c in words) for v in vectors]
         )
