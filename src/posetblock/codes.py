@@ -2,14 +2,16 @@
 
 The generator is kept in reduced row-echelon form.  Every I-ball verdict
 is a rank test over F_q: C meets B_I(0) only in 0 exactly when the
-generator's columns on the blocks outside I have rank k; r-ball verdicts
-are the oracle's per-coset count.  Only `codewords` and minimum distances
-enumerate the q^k codewords, under a cap.  The module covers I-balls,
-I-perfect / r-perfect / r-error-correcting checks, the Singleton bound
-and MDS status in both the weighted and the Hamming-specialized metric,
-dual codes, the four-way duality equivalence under a unique ideal, the
-transversal I-perfect construction, and the closed-form weight
-distribution of MDS chain codes.
+generator's columns on the blocks outside I have rank k.  An r-ball
+verdict is False by pigeonhole when |C| * |B_r(0)| > q^N, with |B_r(0)|
+counted by the oracle, and else the oracle's per-coset count.  Only
+`codewords` and minimum distances enumerate the q^k codewords, under a
+cap.  The module covers I-balls, I-perfect / r-perfect /
+r-error-correcting checks, the Singleton bound and MDS status in both
+the weighted and the Hamming-specialized metric, dual codes, the
+four-way duality equivalence under a unique ideal, the transversal
+I-perfect construction, and the closed-form weight distribution of MDS
+chain codes.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
     PreconditionError,
     TrivialCodeError,
 )
-from .oracle import _pairwise_weights, _ranges, oracle_perfectness, space_cap
+from .oracle import _pairwise_weights, _r_ball_perfectness, _ranges, space_cap
 from .poset import (
     Ideal,
     Poset,
@@ -204,19 +206,27 @@ def is_r_perfect(
 ) -> bool:
     """Whether the r-balls centered at codewords partition the space.
 
-    Within the space cap the verdict is an exhaustive membership sweep,
-    cross-checked against the volume/min-distance arithmetic; beyond it the
-    sufficient pair (volume equality + min distance > 2r) is used, and an
-    instance it cannot certify raises ExplosionError.  By translation
-    invariance the least pairwise distance is min_distance, the least
-    nonzero codeword weight.
+    Within the space cap the oracle counts |B_r(0)| by brute force, and
+    that count must equal the closed form's ball volume.  When
+    |C| * |B_r(0)| > q^N the balls overlap by pigeonhole and the verdict is
+    False with no coset count.  Otherwise the verdict is the oracle's exact
+    per-coset count, cross-checked against the volume/min-distance
+    arithmetic.  Beyond the cap the sufficient pair (volume equality + min
+    distance > 2r) is used, and an instance it cannot certify raises
+    ExplosionError.  By translation invariance the least pairwise distance
+    is min_distance, the least nonzero codeword weight.
     """
     if r < 0 or r > pi.n * W.M_w:
         raise BoundsError(f"radius {r} outside [0, {pi.n * W.M_w}]")
     table = distribution(P, pi, W)
-    volume_ok = C.size * ball_volume(table, r) == C.q**pi.N
+    volume = ball_volume(table, r)
+    volume_ok = C.size * volume == C.q**pi.N
     if C.q**pi.N <= space_cap(cap):
-        res = oracle_perfectness(C, P, pi, W, radius=r, cap=cap)
+        size, res = _r_ball_perfectness(C, P, pi, W, r, cap=cap)
+        if size != volume:
+            raise ConsistencyError("oracle ball size differs from the ball volume")
+        if res is None:
+            return False
         exact = res.disjoint and res.covering
         if exact and not volume_ok:
             raise ConsistencyError("sweep says perfect but volumes do not fill")
@@ -245,13 +255,19 @@ def is_r_error_correcting(
     cap: int | None = None,
     codeword_cap: int = CODEWORD_CAP_DEFAULT,
 ) -> bool:
-    """Whether the r-balls centered at codewords are pairwise disjoint."""
+    """Whether the r-balls centered at codewords are pairwise disjoint.
+
+    Within the space cap: False by pigeonhole when the oracle's brute-force
+    |B_r(0)| times |C| exceeds q^N, else the oracle's exact per-coset
+    count.  Beyond it, True when min distance > 2r, else ExplosionError.
+    """
     if r < 0:
         raise BoundsError(f"radius {r} < 0")
     if C.k == 0:
         return True
     if C.q**pi.N <= space_cap(cap):
-        return oracle_perfectness(C, P, pi, W, radius=r, cap=cap).disjoint
+        _, res = _r_ball_perfectness(C, P, pi, W, r, cap=cap)
+        return res is not None and res.disjoint
     if min_distance(C, P, pi, W, cap=codeword_cap) > 2 * r:
         return True
     raise ExplosionError(

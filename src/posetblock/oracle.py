@@ -1,17 +1,22 @@
-"""Ground-truth engine: exhaustive sweeps of Z_q^N, independent of all closed forms.
+"""Ground-truth engine: brute force over Z_q^N, independent of all closed forms.
 
-Every vector index in [0, q^N) is processed in odometer order (last
-coordinate fastest), in contiguous chunks.  Per-block weight lookup tables
-are built by brute enumeration of each block's q^k_i values; a vector's
-weight is then computed from its block-weight profile by the definitional
-closure/maximals rule.  One kernel does this weighing for every sweep.
-Nothing here touches the ideal/partition counting machinery, so agreement
-with the closed forms is a real theorem check.
+Vectors are indexed in odometer order (last coordinate fastest) and
+processed in chunks of at most 2^18 indices.  The weight histogram sweeps
+every index in [0, q^N).  Per-block weight lookup tables are built by
+brute enumeration of each block's q^k_i values; a vector's weight is then
+computed from its block-weight profile by the definitional closure/maximals
+rule.  One kernel does this weighing for every sweep.  Nothing here touches
+the ideal/partition counting machinery, so agreement with the closed forms
+is a real theorem check.
 
 Perfectness verdicts count per coset instead of per codeword, using only
 the linearity of the code: r-balls and I-balls are both translates of a
 ball around 0, so a vector's number of balls is the number of ball
-vectors in its coset, counted in one sweep keyed by coset representative.
+vectors in its coset.  The ball around 0 is enumerated when it holds at
+most half the space: the I-ball is one box, a product of block codes, and
+the r-ball is a union of boxes, one per block-weight profile of weight
+<= r in the kernel's profile table.  Otherwise it is marked in one sweep
+of the space.  Either way its vectors are keyed by coset representative.
 """
 
 from __future__ import annotations
@@ -19,8 +24,10 @@ from __future__ import annotations
 import hashlib
 import os
 import time
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -165,9 +172,26 @@ def _check_cap(q: int, N: int, cap: int | None) -> int:
     return total
 
 
-def _weigher(P: Poset, pi: LabelMap, W: WeightModel):
-    """The one weight kernel: weigh(lo, hi) gives the weights of the vectors
-    with index in [lo, hi).
+class _Kernel(NamedTuple):
+    """The one weight kernel, built by _weigher.
+
+    weigh(lo, hi) gives the weights of the vectors with index in [lo, hi).
+    A vector's profile is its tuple of block weights, keyed as the sum over
+    blocks of key_tables[i][code_i] = rank * key_places[i], where rank is
+    the rank of the block code's weight among the radices[i] weights block
+    i attains.  table holds the weight of every profile key when there are
+    at most a chunk of them, else None.
+    """
+
+    weigh: Callable[[int, int], np.ndarray]
+    key_tables: list
+    radices: list
+    key_places: list
+    table: np.ndarray | None
+
+
+def _weigher(P: Poset, pi: LabelMap, W: WeightModel) -> _Kernel:
+    """Build the one weight kernel.
 
     Vectors are keyed by their block-weight profile, and the definitional
     weight is computed once per profile: for all profiles up front when
@@ -205,13 +229,17 @@ def _weigher(P: Poset, pi: LabelMap, W: WeightModel):
     n_profiles = key_places[0] * radices[0]
     if n_profiles <= _CHUNK:
         table = profile_weights(np.arange(n_profiles, dtype=np.int64))
-        return lambda lo, hi: table[profiles(lo, hi)]
+
+        def weigh_by_table(lo: int, hi: int) -> np.ndarray:
+            return table[profiles(lo, hi)]
+
+        return _Kernel(weigh_by_table, key_tables, radices, key_places, table)
 
     def weigh(lo: int, hi: int) -> np.ndarray:
         ukeys, inverse = np.unique(profiles(lo, hi), return_inverse=True)
         return profile_weights(ukeys)[inverse]
 
-    return weigh
+    return _Kernel(weigh, key_tables, radices, key_places, None)
 
 
 def oracle_distribution(
@@ -228,7 +256,7 @@ def oracle_distribution(
     q = W.q
     total = _check_cap(q, pi.N, cap)
     start = time.monotonic()
-    weigh = _weigher(P, pi, W)
+    weigh = _weigher(P, pi, W).weigh
     max_weight = pi.n * W.M_w
 
     def sweep(lo: int, hi: int) -> np.ndarray:
@@ -256,36 +284,153 @@ def oracle_distribution(
     )
 
 
-def _coset_ball_counts(code, member, q: int, N: int):
-    """(max, min) over the cosets of C of the number of ball vectors, where
-    member(lo, hi) marks the ball vectors among the indices in [lo, hi).
+def _box_chunks(keys, sizes, key_places, groups, places) -> Iterator[np.ndarray]:
+    """The vector indices of a union of boxes, at most a chunk at a time.
+
+    Box key b picks, in block i, group (b // key_places[i]) % (len(starts) - 1)
+    of groups[i] = (codes, starts): block i's codes ordered by group, with
+    group g at codes[starts[g]:starts[g + 1]].  The box is the product of
+    the picked groups, sizes[j] vectors for keys[j].  The boxes are laid end
+    to end; each position in a chunk takes its box's groups by np.repeat
+    and its offset in the box, read in mixed radix, picks one code per block.
+    """
+    ends = np.cumsum(sizes)
+    begins = ends - sizes
+    for lo, hi in _ranges(int(ends[-1])):
+        # the boxes that meet [lo, hi), and how many of their positions do
+        b0 = int(np.searchsorted(ends, lo, side="right"))
+        b1 = int(np.searchsorted(ends, hi - 1, side="right")) + 1
+        reps = np.minimum(ends[b0:b1], hi) - np.maximum(begins[b0:b1], lo)
+        rest = np.arange(lo, hi, dtype=np.int64) - np.repeat(begins[b0:b1], reps)
+        key = keys[b0:b1]
+        idx = np.zeros(hi - lo, dtype=np.int64)
+        for (codes, starts), kp, place in zip(groups, key_places, places):
+            group = key // kp % (len(starts) - 1)
+            first = starts[group]
+            rest, digit = np.divmod(rest, np.repeat(starts[group + 1] - first, reps))
+            idx += codes[digit + np.repeat(first, reps)] * place
+        yield idx
+
+
+def _ball(
+    P: Poset, pi: LabelMap, W: WeightModel, *, ideal=None, radius=None
+) -> tuple[int | None, Iterator[np.ndarray]]:
+    """(|B(0)| or None, the indices of B(0)'s vectors in chunks), for the
+    r-ball B_r(0) = {u : w(u) <= r} or the I-ball B_I(0) = {u : supp_pi(u)
+    inside I}.
+
+    A ball of at most half the space is enumerated: the I-ball is one box,
+    any code in a block of I and 0 elsewhere; the r-ball is the union, over
+    the kernel's profiles of weight <= r, of the boxes whose block i holds
+    the codes with that profile's weight.  The I-ball of every block is the
+    whole space, taken in index ranges.  A larger r-ball, or one whose
+    profiles exceed a chunk, is marked in a sweep of the whole space.  The
+    size is None only for an r-ball with no profile table.
+    """
+    q = W.q
+    total = q**pi.N
+    sizes, places = _index_places(pi, q)
+    if ideal is not None:
+        inside = [i for i in range(pi.n) if (ideal.members_mask >> i) & 1]
+        size = q ** sum(pi.k[i] for i in inside)
+        if size == total:  # any smaller I-ball is at most a q-th of the space
+            ranges = _ranges(total)
+            return size, (np.arange(lo, hi, dtype=np.int64) for lo, hi in ranges)
+        groups = [(np.arange(sizes[i]), np.array([0, sizes[i]])) for i in inside]
+        chunks = _box_chunks(
+            np.zeros(1, dtype=np.int64),
+            np.array([size], dtype=np.int64),
+            [1] * len(inside),
+            groups,
+            [places[i] for i in inside],
+        )
+        return size, chunks
+    kernel = _weigher(P, pi, W)
+    size = None
+    if kernel.table is not None:
+        keys = np.flatnonzero(kernel.table <= radius)
+        groups = []
+        box_sizes = np.ones(len(keys), dtype=np.int64)
+        for key_table, radix, kp in zip(
+            kernel.key_tables, kernel.radices, kernel.key_places
+        ):
+            rank = key_table // kp
+            starts = np.zeros(radix + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rank, minlength=radix), out=starts[1:])
+            groups.append((np.argsort(rank, kind="stable"), starts))
+            group = keys // kp % radix
+            box_sizes *= starts[group + 1] - starts[group]
+        size = int(box_sizes.sum())
+        if 2 * size <= total:
+            return size, _box_chunks(keys, box_sizes, kernel.key_places, groups, places)
+    return size, (
+        lo + np.flatnonzero(kernel.weigh(lo, hi) <= radius) for lo, hi in _ranges(total)
+    )
+
+
+def _r_ball_perfectness(
+    code, P: Poset, pi: LabelMap, W: WeightModel, radius: int, *, cap: int | None = None
+) -> tuple[int, PerfectnessResult | None]:
+    """(|B_r(0)| counted by brute force, the per-coset result), where the
+    result is None when |C| * |B_r(0)| > q^N: the balls then overlap by
+    pigeonhole, and no coset is counted.
+
+    |B_r(0)| is the sum of the box sizes over the profile table; with no
+    table it is the number of ball vectors the coset count sees.
+    """
+    if code.n_cols != pi.N:
+        raise BoundsError("code length differs from label map N")
+    _check_cap(W.q, pi.N, cap)
+    size, chunks = _ball(P, pi, W, radius=radius)
+    if size is not None and code.size * size > W.q**pi.N:
+        return size, None
+    max_mult, min_mult, size = _coset_ball_counts(code, chunks, W.q, pi.N)
+    return size, _perfectness_result(max_mult, min_mult)
+
+
+def _coset_ball_counts(code, chunks, q: int, N: int) -> tuple[int, int, int]:
+    """(max, min) over the cosets of C of the number of ball vectors, and
+    the number of ball vectors, where chunks yields the index of every ball
+    vector exactly once.
 
     A ball vector u is keyed by the representative of u + C that is zero on
     the pivot columns of the reduced generator G: u - u[pivots] G, read as a
-    base-q number over the free columns.
+    base-q number over the free columns.  Each chunk takes each pivot digit
+    it needs once.
     """
     from .codes import _rref
 
     G, pivots = _rref([list(r) for r in code.generator], q, N)
-    total = q**N
     place = [q ** (N - 1 - c) for c in range(N)]
     if not pivots:
         # the zero code: each coset is one vector, 0 among the ball vectors
-        inside = sum(int(member(lo, hi).sum()) for lo, hi in _ranges(total))
-        return 1, int(inside == total)
+        inside = sum(len(idx) for idx in chunks)
+        return 1, int(inside == q**N), inside
     free = [c for c in range(N) if c not in pivots]
+    # the pivot rows that some free column reads, with their coefficients
+    terms = {f: [(j, row[f]) for j, row in enumerate(G) if row[f]] for f in free}
+    read = sorted({j for pairs in terms.values() for j, _ in pairs})
     counts = np.zeros(q ** len(free), dtype=np.int64)
-    for lo, hi in _ranges(total):
-        idx = lo + np.flatnonzero(member(lo, hi))
+    for idx in chunks:
+        digit = {j: idx // place[pivots[j]] % q for j in read}
         key = np.zeros(len(idx), dtype=np.int64)
         for f in free:
-            sym = (idx // place[f]) % q
-            for row, p in zip(G, pivots):
-                if row[f]:
-                    sym -= row[f] * ((idx // place[p]) % q)
-            key = key * q + sym % q
+            sym = idx // place[f] % q
+            for j, coef in terms[f]:
+                sym -= coef * digit[j]
+            key *= q
+            key += sym % q
         counts += np.bincount(key, minlength=len(counts))
-    return int(counts.max()), int(counts.min())
+    return int(counts.max()), int(counts.min()), int(counts.sum())
+
+
+def _perfectness_result(max_mult: int, min_mult: int) -> PerfectnessResult:
+    return PerfectnessResult(
+        disjoint=max_mult <= 1,
+        covering=min_mult >= 1,
+        max_multiplicity=max_mult,
+        min_multiplicity=min_mult,
+    )
 
 
 def oracle_perfectness(
@@ -307,43 +452,22 @@ def oracle_perfectness(
     Both balls are translates of one ball around 0: B_r(0) = {u : w(u) <= r}
     and B_I(0) = {u : supp_pi(u) inside I}.  v lies in B(c) iff v - c lies
     in B(0), and v - C = v + C, so v's multiplicity is the number of ball
-    vectors in its coset v + C.  One pass marks every vector of the space
-    (by weight, or by its blocks outside I being zero) and counts the ball
-    vectors per coset (O(q^N) time, O(chunk + q^(N-k)) memory); no codeword
-    is enumerated.
+    vectors in its coset v + C.  The ball vectors around 0 are enumerated
+    when the ball is at most half the space (O(|B(0)|) time), else marked
+    in one sweep of the space (O(q^N)), and counted per coset in
+    O(chunk + q^(N-k)) memory; no codeword is enumerated.  The ideal mode
+    reads only W.q from the weight, and P not at all.
     """
     if (ideal is None) == (radius is None):
         raise BoundsError("give exactly one of ideal= or radius=")
     if code.n_cols != pi.N:
         raise BoundsError("code length differs from label map N")
-    q = W.q
-    _check_cap(q, pi.N, cap)
-    if ideal is not None:
-        sizes, places = _index_places(pi, q)
-        outside = [i for i in range(pi.n) if not (ideal.members_mask >> i) & 1]
-
-        def member(lo: int, hi: int) -> np.ndarray:
-            idx = np.arange(lo, hi, dtype=np.int64)
-            inside = np.ones(hi - lo, dtype=bool)
-            for i in outside:  # block i's value, idx // places[i] % sizes[i], is 0
-                inside &= idx % (places[i] * sizes[i]) < places[i]
-            return inside
-
-    else:
-        if radius < 0:
-            raise BoundsError(f"radius {radius} < 0")
-        weigh = _weigher(P, pi, W)
-
-        def member(lo: int, hi: int) -> np.ndarray:
-            return weigh(lo, hi) <= radius
-
-    max_mult, min_mult = _coset_ball_counts(code, member, q, pi.N)
-    return PerfectnessResult(
-        disjoint=max_mult <= 1,
-        covering=min_mult >= 1,
-        max_multiplicity=max_mult,
-        min_multiplicity=min_mult,
-    )
+    if radius is not None and radius < 0:
+        raise BoundsError(f"radius {radius} < 0")
+    _check_cap(W.q, pi.N, cap)
+    _, chunks = _ball(P, pi, W, ideal=ideal, radius=radius)
+    max_mult, min_mult, _ = _coset_ball_counts(code, chunks, W.q, pi.N)
+    return _perfectness_result(max_mult, min_mult)
 
 
 def _pairwise_weights(

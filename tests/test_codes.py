@@ -163,6 +163,41 @@ def test_example69_twelve_perfect_under_a_second_and_a_half(ex69):
     assert time.perf_counter() - start < 1.5
 
 
+def test_example69_twelve_balls_overlap_by_pigeonhole(ex69, monkeypatch):
+    # 7 * |B_12(0)| > 7^8: both verdicts answer without a coset count
+    def refuse(*args):
+        raise AssertionError("the verdict counted cosets")
+
+    P, pi, W, C = ex69
+    monkeypatch.setattr(pb.oracle, "_coset_ball_counts", refuse)
+    size, result = pb.oracle._r_ball_perfectness(C, P, pi, W, 12)
+    assert C.size * size > 7**8 and result is None
+    assert not pb.is_r_perfect(C, 12, P, pi, W)
+    assert not pb.is_r_error_correcting(C, 12, P, pi, W)
+
+
+def test_r_perfect_checks_the_oracle_ball_size(ex69, monkeypatch):
+    def size_off_by_one(*args, **kwargs):
+        size, result = count(*args, **kwargs)
+        return size + 1, result
+
+    P, pi, W, C = ex69
+    count = pb.oracle._r_ball_perfectness
+    monkeypatch.setattr(pb.codes, "_r_ball_perfectness", size_off_by_one)
+    with pytest.raises(pb.ConsistencyError):
+        pb.is_r_perfect(C, 3, P, pi, W)
+
+
+def test_r_ball_verdicts_check_the_code_length(ex69):
+    P, pi, W, _ = ex69
+    short = pb.linear_code(7, [[1] * (pi.N - 1)])
+    for r in (1, 12):  # a ball that packs, and one that overlaps by pigeonhole
+        with pytest.raises(pb.BoundsError):
+            pb.is_r_perfect(short, r, P, pi, W)
+        with pytest.raises(pb.BoundsError):
+            pb.is_r_error_correcting(short, r, P, pi, W)
+
+
 def test_chain_mds_code_with_2401_codewords():
     # |C| = 7^4 on 7^8 under Lee weight: the 6-balls tile the space exactly
     P = chain(4)

@@ -87,6 +87,22 @@ def test_small_chunks_give_the_same_answers(monkeypatch):
     assert got == want
 
 
+def test_profile_box_spans_several_chunks(monkeypatch):
+    # 8-vector chunks: the 4 profiles still fit one, so the balls are
+    # enumerated, and block 1's 26 codes of weight 1 span four chunks
+    from test_properties import _check_perfectness
+
+    P = antichain(2)
+    pi = pb.label_map([3, 2])
+    W = pb.lee_weight(3)
+    monkeypatch.setattr(pb.oracle, "_CHUNK", 8)
+    assert len(pb.oracle._weigher(P, pi, W).table) == 4
+    size, chunks = pb.oracle._ball(P, pi, W, radius=1)
+    assert size == 1 + 26 + 8 and len(list(chunks)) == 5
+    for rows in ([[1, 2, 0, 1, 1]], [[1, 0, 0, 2, 1], [0, 0, 1, 1, 1]]):
+        _check_perfectness(P, pi, W, pb.linear_code(3, rows))
+
+
 def test_space_cap():
     P = chain(4)
     pi = pb.label_map([2, 2, 2, 2])

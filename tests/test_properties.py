@@ -16,16 +16,20 @@ For perfectness it draws a small space (q^N <= 3^6), a linear code of
 dimension 1 up to N, and a weight as above; for that code and for the zero
 code, both branches of oracle_perfectness, at every radius and for every
 ideal, must equal the multiplicities found by testing every vector against
-every codeword, is_I_perfect must match the I-ball verdict, disjoint
-r-balls with M_w | r must leave every B_{I u J}(0) with |I| = |J| = r/M_w
-free of nonzero codewords, and min_distance, under the weight and under
-Hamming, must equal the least pwpi_weight over the nonzero codewords.
+every codeword.  The coset counter must receive each ball vector exactly
+once, in chunks no longer than the oracle's; the oracle's |B_r| must equal
+ball_volume and settle oversized balls by pigeonhole alone.  is_I_perfect
+must match the I-ball verdict, disjoint r-balls with M_w | r must leave
+every B_{I u J}(0) with |I| = |J| = r/M_w free of nonzero codewords, and
+min_distance, under the weight and under Hamming, must equal the least
+pwpi_weight over the nonzero codewords.
 """
 
 from __future__ import annotations
 
 import warnings
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -238,17 +242,41 @@ def _verdict(counts):
     )
 
 
+def _coset_counter_input(C, P, pi, W, **ball):
+    """The vector indices oracle_perfectness hands its coset counter, sorted,
+    checking that no chunk exceeds the oracle's chunk size."""
+    received = []
+    count = pb.oracle._coset_ball_counts
+
+    def spy(code, chunks, q, N):
+        chunks = list(chunks)
+        assert all(len(idx) <= pb.oracle._CHUNK for idx in chunks)
+        received.extend(i for idx in chunks for i in idx.tolist())
+        return count(code, chunks, q, N)
+
+    with mock.patch.object(pb.oracle, "_coset_ball_counts", spy):
+        result = pb.oracle_perfectness(C, P, pi, W, **ball)
+    return result, sorted(received)
+
+
 def _check_perfectness(P, pi, W, C):
     q = W.q
     vectors = list(product(range(q), repeat=pi.N))
     words = pb.codewords(C)
     assert len(vectors) * len(words) <= PERFECTNESS_PAIRS
-    # v lies in B_r(c) iff d(v, c) <= r: one distance per vector and codeword
+    # v lies in B_r(c) iff d(v, c) <= r: one distance per vector and codeword;
+    # words[0] = 0, so row[0] is the weight of v
     dist = [[pb.pwpi_distance(P, pi, W, v, c) for c in words] for v in vectors]
     family = pb.enumerate_ideals(P)
+    table = pb.distribution(P, pi, W)
     for r in range(pi.n * W.M_w + 1):
         expected = _verdict([sum(d <= r for d in row) for row in dist])
-        assert pb.oracle_perfectness(C, P, pi, W, radius=r) == expected, (C.k, r)
+        ball = [v for v, row in enumerate(dist) if row[0] <= r]
+        size, result = pb.oracle._r_ball_perfectness(C, P, pi, W, r)
+        assert size == pb.ball_volume(table, r) == len(ball)
+        assert result == (None if C.size * size > q**pi.N else expected)
+        # the counter sees each ball vector once, whichever way it was found
+        assert _coset_counter_input(C, P, pi, W, radius=r) == (expected, ball), (C.k, r)
         if expected.disjoint and r % W.M_w == 0:
             # u in B_I(0), v in B_J(0) weigh at most r, so a nonzero codeword
             # u - v would put u in two balls: none lies in B_{I u J}(0)
@@ -259,7 +287,12 @@ def _check_perfectness(P, pi, W, C):
         expected = _verdict(
             [sum(pb.i_ball_contains(pi, q, I, c, v) for c in words) for v in vectors]
         )
-        assert pb.oracle_perfectness(C, P, pi, W, ideal=I) == expected, (C.k, I.members)
+        zero = words[0]
+        ball = [v for v, x in enumerate(vectors) if pb.i_ball_contains(pi, q, I, zero, x)]
+        assert _coset_counter_input(C, P, pi, W, ideal=I) == (expected, ball), (
+            C.k,
+            I.members,
+        )
         assert pb.is_I_perfect(C, I, pi) == (expected.disjoint and expected.covering)
 
 
