@@ -1,5 +1,5 @@
-"""Time the rungs of bench/test_perfectness.py on two source trees and write
-one JSON holding both.
+"""Time the rungs of every bench/test_*.py module on two source trees and
+write one JSON holding both.
 
     python bench/compare.py --parent OLD_TREE --change NEW_TREE \
         --runs 5 --out BENCH.json
@@ -7,7 +7,10 @@ one JSON holding both.
 A tree is a checkout with the package under src/.  Every rung runs in its
 own pytest process, once per tree and run, so the peak RSS it records is
 its own; the two trees alternate, and which goes first flips each run.
-Run it from the repository root that holds bench/.
+Run it from the repository root that holds bench/.  A rung is named
+module/rung, e.g. perfectness/chain_r3 for test_rung[chain_r3] in
+bench/test_perfectness.py; its extra_info figures are kept per run, and
+the summary takes their median (the peak RSS, their max).
 """
 
 from __future__ import annotations
@@ -24,11 +27,15 @@ from pathlib import Path
 
 import numpy
 
-MODULE = "bench/test_perfectness.py"
+BENCH = Path(__file__).resolve().parent
+
+
+def _modules() -> list[str]:
+    return sorted(f"bench/{path.name}" for path in BENCH.glob("test_*.py"))
 
 
 def _pytest(tree: Path, *args: str) -> str:
-    """Run pytest on the module with tree's src/ first on the import path."""
+    """Run pytest with tree's src/ first on the import path."""
     done = subprocess.run(
         [
             sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
@@ -41,16 +48,21 @@ def _pytest(tree: Path, *args: str) -> str:
     return done.stdout
 
 
-def _rungs(tree: Path) -> list[str]:
-    """The rung names, read from pytest's collection of the module."""
-    listing = _pytest(tree, "--collect-only", MODULE)
-    return [line.split("[", 1)[1][:-1] for line in listing.splitlines() if "::" in line]
+def _rungs(tree: Path) -> dict[str, str]:
+    """{module/rung: pytest node id}, read from pytest's collection of every module."""
+    listing = _pytest(tree, "--collect-only", *_modules())
+    rungs = {}
+    for line in listing.splitlines():
+        if "::" in line:
+            module = line.split("::", 1)[0].removeprefix("bench/test_").removesuffix(".py")
+            rungs[f"{module}/{line.split('[', 1)[1][:-1]}"] = line
+    return rungs
 
 
-def _run(tree: Path, rung: str) -> dict:
+def _run(tree: Path, node: str) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "rung.json"
-        _pytest(tree, f"{MODULE}::test_rung[{rung}]", f"--benchmark-json={out}")
+        _pytest(tree, node, f"--benchmark-json={out}")
         (bench,) = json.loads(out.read_text())["benchmarks"]
     stats = bench["stats"]
     return {
@@ -58,8 +70,22 @@ def _run(tree: Path, rung: str) -> dict:
         "min_s": stats["min"],
         "max_s": stats["max"],
         "rounds": stats["rounds"],
-        "peak_rss_mib": bench["extra_info"]["peak_rss_mib"],
+        **bench["extra_info"],
     }
+
+
+def _summary(sides: dict) -> dict:
+    """Per side, the median of the run medians and of each extra_info
+    figure, and the largest peak RSS."""
+    out = {}
+    for side, runs in sides.items():
+        out[f"{side}_median_s"] = round(statistics.median(r["median_s"] for r in runs), 6)
+        for field in runs[0]:
+            if field in ("median_s", "min_s", "max_s", "rounds"):
+                continue
+            agg = max if field == "peak_rss_mib" else statistics.median
+            out[f"{side}_{field}"] = round(agg(r[field] for r in runs), 6)
+    return out
 
 
 def _commit(tree: Path) -> str:
@@ -90,25 +116,16 @@ def main() -> None:
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
     trees = {"parent": args.parent, "change": args.change}
-    rungs = {rung: {"parent": [], "change": []} for rung in _rungs(args.change)}
+    nodes = _rungs(args.change)
+    rungs = {rung: {"parent": [], "change": []} for rung in nodes}
     for run in range(args.runs):
         order = ["parent", "change"] if run % 2 == 0 else ["change", "parent"]
         for rung, sides in rungs.items():
             for side in order:
-                sides[side].append(_run(trees[side], rung))
-    summary = {
-        rung: {
-            f"{side}_{name}": round(agg(run[field] for run in runs), 6)
-            for side, runs in sides.items()
-            for name, field, agg in (
-                ("median_s", "median_s", statistics.median),
-                ("peak_rss_mib", "peak_rss_mib", max),
-            )
-        }
-        for rung, sides in rungs.items()
-    }
+                sides[side].append(_run(trees[side], nodes[rung]))
+    summary = {rung: _summary(sides) for rung, sides in rungs.items()}
     report = {
-        "module": MODULE,
+        "modules": _modules(),
         "runs": args.runs,
         "commits": {side: _commit(tree) for side, tree in trees.items()},
         "machine": {

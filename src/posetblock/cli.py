@@ -127,14 +127,17 @@ def cmd_check_code(cfg: InstanceConfig, args) -> int:
         raise ConfigError("check-code needs a code in the config")
     if cfg.code.k == 0:
         raise ConfigError("cannot analyze the zero code (k = 0)")
-    report = singleton_report(cfg.code, cfg.poset, cfg.pi, cfg.weight)
+    ideal_cap = _caps(cfg, args)[0]
+    report = singleton_report(
+        cfg.code, cfg.poset, cfg.pi, cfg.weight, ideal_cap=ideal_cap
+    )
     payload = report.to_json_dict()
     payload["q"] = cfg.q
     payload["N"] = cfg.pi.N
     payload["k"] = cfg.code.k
     # ideals meeting the covering condition sum(k_i) = N - k; with equal
     # blocks of size s these are exactly the ideals of cardinality n - k/s
-    family = enumerate_ideals(cfg.poset, cap=_caps(cfg, args)[0])
+    family = enumerate_ideals(cfg.poset, cap=ideal_cap)
     verdicts = []
     for ideal in family.ideals:
         if sum(cfg.pi.k[i - 1] for i in ideal.members) == cfg.pi.N - cfg.code.k:

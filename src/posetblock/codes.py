@@ -33,6 +33,7 @@ from .errors import (
 )
 from .oracle import _pairwise_weights, _r_ball_perfectness, _ranges, space_cap
 from .poset import (
+    IDEAL_CAP_DEFAULT,
     Ideal,
     Poset,
     _bits,
@@ -290,13 +291,16 @@ class CodeReport:
         return asdict(self)
 
 
-def _max_ideal_k_sums(P: Poset, pi: LabelMap) -> list[int]:
+def _max_ideal_k_sums(
+    P: Poset, pi: LabelMap, ideal_cap: int = IDEAL_CAP_DEFAULT
+) -> list[int]:
     """best[c] = the largest sum(k_i, i in J) over the ideals J with |J| = c,
-    folded in max-plus form."""
+    folded in max-plus form; a piece that does not decompose walks its
+    ideals under ideal_cap."""
 
     def flat(piece: int) -> list[int]:
         best = [0] * (piece.bit_count() + 1)
-        for ideal in ideal_masks(P, piece):
+        for ideal in ideal_masks(P, piece, cap=ideal_cap):
             c = ideal.bit_count()
             best[c] = max(best[c], sum(pi.k[i] for i in _bits(ideal)))
         return best
@@ -324,6 +328,7 @@ def singleton_report(
     W: WeightModel,
     *,
     cap: int = CODEWORD_CAP_DEFAULT,
+    ideal_cap: int = IDEAL_CAP_DEFAULT,
 ) -> CodeReport:
     """Singleton bound data and MDS verdicts in both metrics.
 
@@ -331,13 +336,13 @@ def singleton_report(
     sum(k_i, i in J) is at most N - log_q |C| = N - k; MDS means equality.
     The Hamming swap gives the (P,pi) version with radius d_ppi - 1.  The
     maxima fold P's decomposition; only pieces that do not decompose walk
-    their ideals, under the default ideal cap."""
+    their ideals, under ideal_cap, and raise ExplosionError past it."""
     d_pwpi = min_distance(C, P, pi, W, cap=cap)
     d_ppi = min_distance(C, P, pi, hamming_weight(C.q), cap=cap)
     r_wtilde = (d_pwpi - W.m_w) // W.M_w
     rhs = pi.N - C.k
     # every cardinality 0..n has an ideal, and 0 <= r_wtilde, d_ppi - 1 <= n
-    best = _max_ideal_k_sums(P, pi)
+    best = _max_ideal_k_sums(P, pi, ideal_cap)
     lhs = best[r_wtilde]
     ppi_lhs = best[d_ppi - 1]
     return CodeReport(

@@ -5,9 +5,13 @@ processed in chunks of at most 2^18 indices.  The weight histogram sweeps
 every index in [0, q^N).  Per-block weight lookup tables are built by
 brute enumeration of each block's q^k_i values; a vector's weight is then
 computed from its block-weight profile by the definitional closure/maximals
-rule.  One kernel does this weighing for every sweep.  Nothing here touches
-the ideal/partition counting machinery, so agreement with the closed forms
-is a real theorem check.
+rule.  One kernel does this weighing for every sweep.  A vector's profile
+key is a sum of per-block terms, and the trailing blocks run fastest, so
+the terms of the longest suffix of blocks that fits a chunk are summed
+once into an outer-sum array, and a range's keys add that array to the
+key of each leading index it meets; every vector is still weighed through
+its own key.  Nothing here touches the ideal/partition counting machinery,
+so agreement with the closed forms is a real theorem check.
 
 Perfectness verdicts count per coset instead of per codeword, using only
 the linearity of the code: r-balls and I-balls are both translates of a
@@ -180,7 +184,10 @@ class _Kernel(NamedTuple):
     blocks of key_tables[i][code_i] = rank * key_places[i], where rank is
     the rank of the block code's weight among the radices[i] weights block
     i attains.  table holds the weight of every profile key when there are
-    at most a chunk of them, else None.
+    at most a chunk of them, else None.  The keys of a range are sums of a
+    leading part and a trailing part (see _weigher); the trailing part is
+    built on the first weigh call, so a kernel read only for its table
+    costs no sweep set-up.
     """
 
     weigh: Callable[[int, int], np.ndarray]
@@ -190,6 +197,16 @@ class _Kernel(NamedTuple):
     table: np.ndarray | None
 
 
+def _suffix_start(sizes: list[int]) -> int:
+    """The first block of the longest suffix of blocks whose q^k_i multiply
+    to at most a chunk; len(sizes) when the last block alone exceeds one."""
+    start, span = len(sizes), 1
+    while start > 0 and span * sizes[start - 1] <= _CHUNK:
+        start -= 1
+        span *= sizes[start]
+    return start
+
+
 def _weigher(P: Poset, pi: LabelMap, W: WeightModel) -> _Kernel:
     """Build the one weight kernel.
 
@@ -197,6 +214,14 @@ def _weigher(P: Poset, pi: LabelMap, W: WeightModel) -> _Kernel:
     weight is computed once per profile: for all profiles up front when
     there are at most a chunk of them, else once per distinct profile in
     each range.
+
+    In odometer order the trailing blocks run fastest, so index
+    h * span + t, with span the size of the longest suffix of blocks that
+    fits a chunk, has key head[h] + tail[t]: tail is the outer sum of the
+    suffix blocks' key terms, built once, and head[h] sums the leading
+    blocks' terms of the leading index h.  The keys of [lo, hi) are the
+    rows of head[:, None] + tail for the leading indices it meets, sliced
+    to the range, so only those (hi - lo) / span indices are divided.
     """
     bw_tables = _block_weight_tables(pi, W)
     sizes, places = _index_places(pi, W.q)
@@ -213,12 +238,24 @@ def _weigher(P: Poset, pi: LabelMap, W: WeightModel) -> _Kernel:
     ]
     leq, strict = _order_matrices(P)
 
+    built: list[tuple[int, np.ndarray]] = []  # (suffix start, tail), on first use
+
     def profiles(lo: int, hi: int) -> np.ndarray:
-        idx = np.arange(lo, hi, dtype=np.int64)
-        key = np.zeros(hi - lo, dtype=np.int64)
-        for i in range(pi.n):
-            key += key_tables[i][(idx // places[i]) % sizes[i]]
-        return key
+        if not built:
+            start = _suffix_start(sizes)
+            tail = np.zeros(1, dtype=np.int64)
+            for i in range(start, pi.n):
+                tail = (tail[:, None] + key_tables[i]).ravel()
+            built.append((start, tail))
+        start, tail = built[0]
+        span = len(tail)
+        h0, h1 = lo // span, -(-hi // span)
+        head = np.arange(h0, h1, dtype=np.int64)
+        head_key = np.zeros(h1 - h0, dtype=np.int64)
+        for i in range(start):
+            head_key += key_tables[i][(head // (places[i] // span)) % sizes[i]]
+        key = (head_key[:, None] + tail).ravel()
+        return key[lo - h0 * span : hi - h0 * span]
 
     def profile_weights(keys: np.ndarray) -> np.ndarray:
         wmat = np.empty((len(keys), pi.n), dtype=np.int64)
@@ -264,7 +301,7 @@ def oracle_distribution(
 
     ranges = _ranges(total)
     hist = np.zeros(max_weight + 1, dtype=np.int64)
-    if threads > 1:
+    if threads > 1 and len(ranges) > 1:  # a pool for one range only costs
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for part in pool.map(lambda rg: sweep(*rg), ranges):
                 hist += part
@@ -396,7 +433,7 @@ def _coset_ball_counts(code, chunks, q: int, N: int) -> tuple[int, int, int]:
     A ball vector u is keyed by the representative of u + C that is zero on
     the pivot columns of the reduced generator G: u - u[pivots] G, read as a
     base-q number over the free columns.  Each chunk takes each pivot digit
-    it needs once.
+    it needs once, and each free column's symbol is reduced mod q once.
     """
     from .codes import _rref
 
@@ -412,14 +449,19 @@ def _coset_ball_counts(code, chunks, q: int, N: int) -> tuple[int, int, int]:
     read = sorted({j for pairs in terms.values() for j, _ in pairs})
     counts = np.zeros(q ** len(free), dtype=np.int64)
     for idx in chunks:
-        digit = {j: idx // place[pivots[j]] % q for j in read}
+        # idx // place[c] is column c's digit plus a multiple of q, which
+        # the one reduction per free column drops.  No sum leaves int64: a
+        # pivot left of f has place[p] >= q * place[f], so f's pivot terms
+        # total at most q^N / place[f]
+        digit = {j: idx // place[pivots[j]] for j in read}
         key = np.zeros(len(idx), dtype=np.int64)
         for f in free:
-            sym = idx // place[f] % q
+            sym = idx // place[f]
             for j, coef in terms[f]:
                 sym -= coef * digit[j]
+            sym -= sym // q * q  # sym mod q: numpy's int64 // beats its %
             key *= q
-            key += sym % q
+            key += sym
         counts += np.bincount(key, minlength=len(counts))
     return int(counts.max()), int(counts.min()), int(counts.sum())
 

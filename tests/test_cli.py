@@ -110,6 +110,32 @@ def test_check_code_example69(tmp_path, capsys):
     assert verdicts == {(1, 2, 3, 4): True, (1, 2, 3, 5): True}
 
 
+def test_check_code_passes_its_ideal_cap(tmp_path, capsys, monkeypatch):
+    # the N poset: its Singleton maxima walk its 8 ideals under the CLI cap
+    cfg = {
+        "q": 5,
+        "poset": {"n": 4, "relations": [[1, 3], [2, 3], [2, 4]]},
+        "pi": [1, 2, 1, 1],
+        "weight": "lee",
+        "code": {"generator": [[1, 1, 1, 1, 1]]},
+    }
+    seen = []
+    real = cli.singleton_report
+
+    def spy(*args, ideal_cap):
+        seen.append(ideal_cap)
+        return real(*args, ideal_cap=ideal_cap)
+
+    monkeypatch.setattr(cli, "singleton_report", spy)
+    path = _write(tmp_path, cfg)
+    assert run(capsys, "check-code", "--config", path)[0] == 0
+    code, _, err = run(capsys, "check-code", "--config", path, "--cap-ideals", "7")
+    assert code == 3 and "cap 7" in err
+    path = _write(tmp_path, dict(cfg, caps={"ideals": 8}))
+    assert run(capsys, "check-code", "--config", path)[0] == 0
+    assert seen == [pb.poset.IDEAL_CAP_DEFAULT, 7, 8]
+
+
 def test_check_code_zero_dimension(tmp_path, capsys):
     cfg = dict(EX45)
     cfg["code"] = {"generator": [[0] * 13]}

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import posetblock as pb
-from conftest import antichain, chain
+from conftest import N_POSET, antichain, chain
 
 
 def lee(q):
@@ -325,6 +325,41 @@ def test_singleton_report_on_large_antichains(n, expected):
     rep = pb.singleton_report(C, P, pi, lee(7))
     assert time.perf_counter() - start < 0.05
     assert (rep.singleton_lhs, rep.ppi_lhs) == expected
+
+
+def _n_poset_code():
+    # the N poset does not decompose, so the fold walks its 8 ideals flat
+    P = pb.build_poset(*N_POSET)
+    pi = pb.label_map([1, 2, 1, 1])
+    return pb.linear_code(5, [[1, 1, 1, 1, 1]]), P, pi, lee(5)
+
+
+def test_singleton_report_honours_the_ideal_cap():
+    C, P, pi, W = _n_poset_code()
+    with pytest.raises(pb.ExplosionError, match="cap 7"):
+        pb.singleton_report(C, P, pi, W, ideal_cap=7)
+    assert pb.singleton_report(C, P, pi, W, ideal_cap=8) == pb.singleton_report(C, P, pi, W)
+
+
+def test_singleton_report_default_ideal_cap_is_unchanged(monkeypatch):
+    C, P, pi, W = _n_poset_code()
+    caps = []
+    real = pb.codes.ideal_masks
+
+    def spy(P, within, *, cap):
+        caps.append(cap)
+        return real(P, within, cap=cap)
+
+    monkeypatch.setattr(pb.codes, "ideal_masks", spy)
+    rep = pb.singleton_report(C, P, pi, W)
+    assert caps == [pb.poset.IDEAL_CAP_DEFAULT]
+    # the per-cardinality maxima over the whole ideal lattice
+    best = {}
+    for ideal in pb.enumerate_ideals(P).ideals:
+        c = len(ideal.members)
+        best[c] = max(best.get(c, 0), sum(pi.k[i - 1] for i in ideal.members))
+    assert rep.singleton_lhs == best[rep.r_wtilde]
+    assert rep.ppi_lhs == best[rep.d_ppi - 1]
 
 
 def test_singleton_full_space_is_mds():

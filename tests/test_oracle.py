@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 import posetblock as pb
@@ -56,17 +57,43 @@ def test_truncated_example45_sweep():
 
 
 def test_threads_deterministic(ex45):
+    # 7^7 vectors in four chunks; the suffix is the last four blocks
+    # (span 7^6), so every chunk boundary falls inside a leading index
     P, _, W = ex45
-    pi = pb.label_map([1, 1, 1, 1, 1])
+    pi = pb.label_map([1, 1, 1, 2, 2])
+    sizes = [W.q**k for k in pi.k]
+    assert pb.oracle._suffix_start(sizes) == 1
+    ranges = pb.oracle._ranges(W.q**pi.N)
+    assert len(ranges) == 4 and all(lo % 7**6 for lo, _ in ranges[1:])
     single = pb.oracle_distribution(P, pi, W, threads=1)
     multi = pb.oracle_distribution(P, pi, W, threads=4)
     assert single.histogram == multi.histogram
     assert single.fingerprint == multi.fingerprint
+    assert single.to_table().counts == pb.distribution_general(P, pi, W).counts
+
+
+def test_kernel_with_a_block_over_a_chunk():
+    # q = 2 and k = 19: the last block alone exceeds a chunk, so no suffix
+    # fits one and every vector's key sums both blocks' terms
+    P = chain(2)
+    pi = pb.label_map([1, 19])
+    W = pb.hamming_weight(2)
+    assert pb.oracle._suffix_start([2, 2**19]) == 2
+    weigh = pb.oracle._weigher(P, pi, W).weigh
+    for lo, hi in [(0, 5), (2**19 - 3, 2**19 + 4), (2**20 - 7, 2**20)]:
+        want = [
+            pb.pwpi_weight(P, pi, W, [v >> (19 - c) & 1 for c in range(20)])
+            for v in range(lo, hi)
+        ]
+        assert weigh(lo, hi).tolist() == want
+    res = pb.oracle_distribution(P, pi, W)
+    assert res.to_table().counts == pb.distribution_chain(P, pi, W).counts
 
 
 def test_small_chunks_give_the_same_answers(monkeypatch):
-    # 64-vector chunks: many ranges, and more profiles than a chunk, so the
-    # kernel weighs each range's distinct profiles instead of a whole table
+    # 64-vector chunks: many ranges, more profiles than a chunk, so the
+    # kernel weighs each range's distinct profiles instead of a whole table,
+    # and a suffix of only the last block, so most ranges cross its span
     P = pb.build_poset(4, [(1, 3), (2, 3)])
     pi = pb.label_map([2, 1, 2, 1])
     W = pb.lee_weight(5)
@@ -79,6 +106,7 @@ def test_small_chunks_give_the_same_answers(monkeypatch):
     )
     monkeypatch.setattr(pb.oracle, "_CHUNK", 64)
     assert len(pb.oracle._ranges(W.q**pi.N)) > 200
+    assert pb.oracle._suffix_start([25, 5, 25, 5]) == 3
     got = (
         pb.oracle_distribution(P, pi, W, threads=2).histogram,
         [pb.oracle_perfectness(C, P, pi, W, radius=r) for r in range(pi.n * W.M_w + 1)],
@@ -101,6 +129,21 @@ def test_profile_box_spans_several_chunks(monkeypatch):
     assert size == 1 + 26 + 8 and len(list(chunks)) == 5
     for rows in ([[1, 2, 0, 1, 1]], [[1, 0, 0, 2, 1], [0, 0, 1, 1, 1]]):
         _check_perfectness(P, pi, W, pb.linear_code(3, rows))
+
+
+def test_coset_keys_near_the_int64_limit():
+    # 7^22 is within a factor of 3 of 2^63, and the vectors u + c for
+    # codewords c, u near the top of the index range, form one coset: the
+    # unreduced digits must key them all alike
+    q, N = 7, 22
+    rows = [[int(c == j) for c in range(N - 2)] + [6, 6] for j in range(N - 2)]
+    C = pb.linear_code(q, rows)
+    words = [[0] * N] + rows + [[(a + b) % q for a, b in zip(rows[0], r)] for r in rows[1:]]
+    u = [q - 1] * (N - 1) + [q - 2]
+    idx = [int("".join(str((a + b) % q) for a, b in zip(u, w)), q) for w in words]
+    assert max(idx) >= q**N - q**3
+    chunk = np.array(idx, dtype=np.int64)
+    assert pb.oracle._coset_ball_counts(C, [chunk], q, N) == (len(words), 0, len(words))
 
 
 def test_space_cap():

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import warnings
 from itertools import combinations, product
+from math import prod
 from unittest import mock
 
 import pytest
@@ -40,6 +41,8 @@ from conftest import N_POSET, disjoint_union, fence, ordinal_sum
 from posetblock.distribution import _ideal_sum
 
 MAX_SPACE = 10**5
+KERNEL_SPACE = 3**7
+KERNEL_RANGE = 150  # the most vectors a kernel range test weighs one by one
 
 
 def _relabel(n, pairs, perm):
@@ -308,3 +311,48 @@ def test_perfectness_equals_brute_force(instance):
     for weight in (W, pb.hamming_weight(W.q)):
         expected = min(pb.pwpi_weight(P, pi, weight, c) for c in nonzero)
         assert pb.min_distance(C, P, pi, weight) == expected
+
+
+def _vector(index, q, N):
+    """The vector at an index in odometer order (last coordinate fastest)."""
+    return [index // q ** (N - 1 - c) % q for c in range(N)]
+
+
+@st.composite
+def kernel_cases(draw):
+    """(P, pi, W, start, chunk, ranges): a space of at most 3^7 vectors, a
+    chunk that holds exactly the blocks from start on, and index ranges,
+    the first straddling a leading-index boundary where there is one."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    P = draw(st.one_of(random_posets(5), hierarchical_posets(5)))
+    pi = _block_lengths(draw, P.n, q, KERNEL_SPACE)
+    W = _weight(draw, q)
+    start = draw(st.integers(0, P.n))
+    span = prod(q**k for k in pi.k[start:])
+    total = q**pi.N
+    ranges = []
+    if span < total:
+        boundary = span * draw(st.integers(1, total // span - 1))
+        reach = min(span, KERNEL_RANGE // 2)
+        ranges.append(
+            (boundary - draw(st.integers(1, reach)), boundary + draw(st.integers(1, reach)))
+        )
+    for _ in range(2):
+        lo = draw(st.integers(0, total - 1))
+        ranges.append((lo, draw(st.integers(lo + 1, min(total, lo + KERNEL_RANGE)))))
+    return P, pi, W, start, span, ranges
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(kernel_cases())
+def test_kernel_weighs_every_range_like_pwpi_weight(case):
+    # start 0: the suffix is the whole space; start n: a chunk of 1 leaves
+    # every block over it, so the suffix is empty and span is 1
+    P, pi, W, start, chunk, ranges = case
+    sizes = [W.q**k for k in pi.k]
+    with mock.patch.object(pb.oracle, "_CHUNK", chunk):
+        assert pb.oracle._suffix_start(sizes) == start
+        weigh = pb.oracle._weigher(P, pi, W).weigh
+        for lo, hi in ranges:
+            want = [pb.pwpi_weight(P, pi, W, _vector(v, W.q, pi.N)) for v in range(lo, hi)]
+            assert weigh(lo, hi).tolist() == want, (lo, hi)
