@@ -10,12 +10,14 @@ its own; the two trees alternate, and which goes first flips each run.
 Run it from the repository root that holds bench/.  A rung is named
 module/rung, e.g. perfectness/chain_r3 for test_rung[chain_r3] in
 bench/test_perfectness.py; its extra_info figures are kept per run, and
-the summary takes their median (the peak RSS, their max).
+the summary takes their median (the peak RSS, their max).  Each tree is
+named by its git describe and by a sha256 of its src/**/*.py.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -98,6 +100,18 @@ def _commit(tree: Path) -> str:
     return head.stdout.strip() or "unknown"
 
 
+def _src_sha256(tree: Path) -> str:
+    """sha256 of the tree's src/**/*.py, each file's path under src/ and its
+    bytes in path order; it names a tree that git describe cannot, such as a
+    git archive export."""
+    src = tree / "src"
+    digest = hashlib.sha256()
+    for path in sorted(src.rglob("*.py")):
+        digest.update(path.relative_to(src).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def _cpu() -> str:
     try:
         lines = Path("/proc/cpuinfo").read_text().splitlines()
@@ -128,6 +142,7 @@ def main() -> None:
         "modules": _modules(),
         "runs": args.runs,
         "commits": {side: _commit(tree) for side, tree in trees.items()},
+        "src_sha256": {side: _src_sha256(tree) for side, tree in trees.items()},
         "machine": {
             "cpu": _cpu(),
             "python": platform.python_version(),

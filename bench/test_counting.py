@@ -1,0 +1,69 @@
+"""Counting rungs of the bench ladder, timed with pytest-benchmark.
+
+Each rung is one distribution call (method auto, which is general on
+these posets) on a poset that is no disjoint union and no ordinal sum, so
+the series-parallel fold has to split its pieces on a maximal element.
+Run them from the repository root:
+
+    python -m pytest bench/test_counting.py --benchmark-json=out.json
+
+Like bench/test_perfectness.py, every rung calls only the public API, so
+-o pythonpath=TREE/src times another tree, and bench/compare.py runs each
+rung in its own process on two trees.  Each rung stores the process's peak
+RSS (MiB) in its extra_info.
+"""
+
+from __future__ import annotations
+
+import random
+import resource
+
+import pytest
+
+import posetblock as pb
+
+ROUNDS = 3
+
+
+def _fence(n: int):
+    """The zigzag 1 < 2 > 3 < 4 > ... on n elements: Fibonacci(n) ideals."""
+    return pb.build_poset(n, [(i, i + 1) if i % 2 else (i + 1, i) for i in range(1, n)])
+
+
+def _bipartite(n: int, density: float, seed: int):
+    """Each of the n/2 bottom elements lies below each top one with the
+    given probability, drawn from the seed."""
+    rng = random.Random(seed)
+    half = n // 2
+    pairs = [
+        (a, b)
+        for a in range(1, half + 1)
+        for b in range(half + 1, n + 1)
+        if rng.random() < density
+    ]
+    return pb.build_poset(n, pairs)
+
+
+RUNGS = {
+    "fence16": lambda: _fence(16),
+    "fence20": lambda: _fence(20),
+    "fence24": lambda: _fence(24),
+    # 317,184 ideals
+    "bipartite24": lambda: _bipartite(24, 0.15, 1),
+}
+
+
+@pytest.mark.parametrize("rung", list(RUNGS))
+def test_rung(benchmark, rung):
+    P = RUNGS[rung]()
+    pi = pb.label_map([1 + i % 3 for i in range(P.n)])
+    W = pb.lee_weight(7)
+    table = benchmark.pedantic(
+        lambda: pb.distribution(P, pi, W),
+        rounds=ROUNDS,
+        iterations=1,
+        warmup_rounds=1,
+    )
+    assert table.check_normalization()
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    benchmark.extra_info["peak_rss_mib"] = round(peak, 1)

@@ -30,7 +30,7 @@ from .distribution import (
 )
 from .errors import ConfigError, ExplosionError, PosetBlockError
 from .oracle import oracle_distribution
-from .poset import IDEAL_CAP_DEFAULT, classify, enumerate_ideals, ideal_closure
+from .poset import IDEAL_CAP_DEFAULT, Ideal, classify, ideal_closure, ideals_with_sum
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -135,18 +135,18 @@ def cmd_check_code(cfg: InstanceConfig, args) -> int:
     payload["q"] = cfg.q
     payload["N"] = cfg.pi.N
     payload["k"] = cfg.code.k
-    # ideals meeting the covering condition sum(k_i) = N - k; with equal
-    # blocks of size s these are exactly the ideals of cardinality n - k/s
-    family = enumerate_ideals(cfg.poset, cap=ideal_cap)
-    verdicts = []
-    for ideal in family.ideals:
-        if sum(cfg.pi.k[i - 1] for i in ideal.members) == cfg.pi.N - cfg.code.k:
-            verdicts.append(
-                {
-                    "ideal": list(ideal.members),
-                    "i_perfect": is_I_perfect(cfg.code, ideal, cfg.pi),
-                }
-            )
+    # ideals meeting the covering condition sum(k_i) = N - k, in ascending
+    # mask order; with equal blocks of size s these are the ideals of
+    # cardinality n - k/s.  Only they are generated, under the ideal cap.
+    P, verdicts = cfg.poset, []
+    for mask in ideals_with_sum(P, cfg.pi.k, cfg.pi.N - cfg.code.k, cap=ideal_cap):
+        ideal = Ideal(P.n, mask, P.maximals_mask(mask))
+        verdicts.append(
+            {
+                "ideal": list(ideal.members),
+                "i_perfect": is_I_perfect(cfg.code, ideal, cfg.pi),
+            }
+        )
     payload["i_perfect_by_ideal"] = verdicts
     _emit(payload, "json")
     return EXIT_OK

@@ -43,7 +43,6 @@ from .poset import (
     dual_poset,
     fold_ideals,
     ideal_closure,
-    ideal_masks,
 )
 from .space import LabelMap, pi_support, vector_sub
 from .weights import WeightModel, block_class_size, hamming_weight
@@ -295,15 +294,8 @@ def _max_ideal_k_sums(
     P: Poset, pi: LabelMap, ideal_cap: int = IDEAL_CAP_DEFAULT
 ) -> list[int]:
     """best[c] = the largest sum(k_i, i in J) over the ideals J with |J| = c,
-    folded in max-plus form; a piece that does not decompose walks its
-    ideals under ideal_cap."""
-
-    def flat(piece: int) -> list[int]:
-        best = [0] * (piece.bit_count() + 1)
-        for ideal in ideal_masks(P, piece, cap=ideal_cap):
-            c = ideal.bit_count()
-            best[c] = max(best[c], sum(pi.k[i] for i in _bits(ideal)))
-        return best
+    folded in max-plus form; ideal_cap bounds the pieces split on a maximal
+    element."""
 
     def join(a: list[int], b: list[int]) -> list[int]:
         best = [0] * (len(a) + len(b) - 1)
@@ -312,13 +304,18 @@ def _max_ideal_k_sums(
                 best[i + j] = max(best[i + j], x + y)
         return best
 
-    return fold_ideals(
-        P,
-        leaf=lambda i: [0, pi.k[i]],
-        flat=flat,
-        join=join,
-        stack=lambda low, below, high: low + [low[-1] + h for h in high[1:]],
-    )
+    def split(x: int, down: int, without: list[int], rest: list[int]) -> list[int]:
+        # each size below |piece| has an ideal without x; the full size needs x
+        best = without + [0]
+        top = sum(pi.k[i] for i in _bits(down))
+        for c, r in enumerate(rest, down.bit_count()):
+            best[c] = max(best[c], top + r)
+        return best
+
+    def stack(low: list[int], below: int, high: list[int]) -> list[int]:
+        return low + [low[-1] + h for h in high[1:]]
+
+    return fold_ideals(P, [0], lambda i: [0, pi.k[i]], join, stack, split, cap=ideal_cap)
 
 
 def singleton_report(
@@ -335,8 +332,9 @@ def singleton_report(
     The bound: max over ideals J of cardinality floor((d - m_w)/M_w) of
     sum(k_i, i in J) is at most N - log_q |C| = N - k; MDS means equality.
     The Hamming swap gives the (P,pi) version with radius d_ppi - 1.  The
-    maxima fold P's decomposition; only pieces that do not decompose walk
-    their ideals, under ideal_cap, and raise ExplosionError past it."""
+    maxima fold P's decomposition in max-plus form with no ideal listed; a
+    piece that does not decompose splits on a maximal element, and more
+    than ideal_cap such pieces raise ExplosionError."""
     d_pwpi = min_distance(C, P, pi, W, cap=cap)
     d_ppi = min_distance(C, P, pi, hamming_weight(C.q), cap=cap)
     r_wtilde = (d_pwpi - W.m_w) // W.M_w

@@ -11,8 +11,12 @@ order, is exactly the coefficient extraction of this product.
 With F(P) = sum_r |A_r| x^r (the empty ideal gives |A_0| = 1), the general
 method runs poset.fold_ideals with this arithmetic: a single element gives
 1 + D_k(x), a disjoint union multiplies, and an ordinal sum with P1 below
-P2 gives F(P1) + x^(M_w|P1|) q^(k(P1)) (F(P2) - 1).  Only a piece that is
-neither sums the products over its ideal lattice.  The hierarchical
+P2 gives F(P1) + x^(M_w|P1|) q^(k(P1)) (F(P2) - 1).  A piece that is
+neither splits on a maximal element x: the ideals that hold x are the
+down-set of x joined to an ideal J of P - down x, with x maximal, the rest
+of down x below it and J's elements keeping their status, so
+F(P) = F(P - x) + D_{k_x}(x) x^(M_w(|down x| - 1)) q^(k(down x - x)) F(P - down x).
+No ideal is listed.  The hierarchical
 theorem's level form is the special case of an ordinal sum of antichains.
 The chain method is the paper's chain closed form.  Both methods must
 agree exactly with each other and with the brute oracle.
@@ -23,7 +27,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BoundsError, PreconditionError
@@ -34,7 +37,6 @@ from .poset import (
     chain_order,
     classify,
     fold_ideals,
-    ideal_masks,
 )
 from .space import LabelMap
 from .weights import WeightModel, block_class_size
@@ -94,51 +96,6 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _class_poly(W: WeightModel, k: int, constant: int = 0) -> list[int]:
-    """constant + D_k(x) as a coefficient list."""
-    return [constant] + [block_class_size(W, b, k) for b in range(1, W.M_w + 1)]
-
-
-def _ideal_sum(P: Poset, pi: LabelMap, W: WeightModel, piece: int, cap: int) -> list[int]:
-    """F over the ideals of the subposet on piece, as a coefficient list.
-
-    Ideals with the same (c, sum of k over the non-maximals, maximal count
-    per block length) contribute the same term, so each distinct product
-    of powers D_k(x)^e is formed once.
-    """
-    q, M_w = W.q, W.M_w
-    members = list(_bits(piece))
-    lengths = sorted({pi.k[i] for i in members})
-    masks = [sum(1 << i for i in members if pi.k[i] == k) for k in lengths]
-    groups: Counter = Counter()
-    for ideal in ideal_masks(P, piece, cap=cap):
-        top = P.maximals_mask(ideal)
-        below = ideal & ~top
-        exp = sum(k * (below & m).bit_count() for k, m in zip(lengths, masks))
-        tops = tuple((top & m).bit_count() for m in masks)
-        groups[below.bit_count(), exp, tops] += 1
-    # powers[t][e] = D_{lengths[t]}(x)^e
-    powers = []
-    for t, k in enumerate(lengths):
-        D = _class_poly(W, k)
-        row = [[1]]
-        for _ in range(max(key[2][t] for key in groups)):
-            row.append(_poly_mul(row[-1], D))
-        powers.append(row)
-    products: dict = {}
-    counts = [0] * (len(members) * M_w + 1)
-    for (c, exp, tops), mult in groups.items():
-        if tops not in products:
-            poly = [1]
-            for t, e in enumerate(tops):
-                poly = _poly_mul(poly, powers[t][e])
-            products[tops] = poly
-        scale = mult * q**exp
-        for b, coeff in enumerate(products[tops]):
-            counts[c * M_w + b] += scale * coeff
-    return counts
-
-
 def distribution_general(
     P: Poset,
     pi: LabelMap,
@@ -146,26 +103,41 @@ def distribution_general(
     *,
     ideal_cap: int = IDEAL_CAP_DEFAULT,
 ) -> DistributionTable:
-    """F(P) by the series-parallel fold; works for every instance.
+    """F(P) by poset.fold_ideals; works for every instance.
 
-    A disjoint union multiplies, F(P1 + P2) = F(P1) F(P2), and an ordinal
-    sum with P1 below P2 gives F(P1) + x^(M_w |P1|) q^(k(P1)) (F(P2) - 1).
-    Only a piece that is neither enumerates its ideals, under ideal_cap.
+    A disjoint union multiplies, F(P1 + P2) = F(P1) F(P2), an ordinal sum
+    with P1 below P2 gives F(P1) + x^(M_w |P1|) q^(k(P1)) (F(P2) - 1), and a
+    piece that is neither splits on a maximal element, as the module
+    docstring derives.  ideal_cap bounds the pieces split; no ideal is listed.
     """
     _check_dims(P, pi)
+    # D_k(x) as a coefficient list, per block length
+    D = {k: [0] + [block_class_size(W, b, k) for b in range(1, W.M_w + 1)]
+         for k in set(pi.k)}
+
+    def k_sum(mask: int) -> int:
+        return sum(pi.k[i] for i in _bits(mask))
 
     def stack(low: list[int], below: int, high: list[int]) -> list[int]:
         # low has degree M_w |below|, so the shifted F(P2) - 1 starts just past it
-        scale = W.q ** sum(pi.k[i] for i in _bits(below))
+        scale = W.q ** k_sum(below)
         return low + [scale * c for c in high[1:]]
 
-    counts = fold_ideals(
-        P,
-        leaf=lambda i: _class_poly(W, pi.k[i], constant=1),
-        flat=lambda piece: _ideal_sum(P, pi, W, piece, ideal_cap),
-        join=_poly_mul,
-        stack=stack,
-    )
+    def split(x: int, down: int, without: list[int], rest: list[int]) -> list[int]:
+        # in down | J, x is maximal and the rest of down lies below it, while
+        # each element of J keeps its status; F(P - x) has the lower degree
+        scale = W.q ** k_sum(down & ~(1 << x))
+        shift = W.M_w * (down.bit_count() - 1)
+        term = _poly_mul(D[pi.k[x]], rest)
+        out = without + [0] * (shift + len(term) - len(without))
+        for e, c in enumerate(term, shift):
+            out[e] += scale * c
+        return out
+
+    def leaf(i: int) -> list[int]:
+        return [1] + D[pi.k[i]][1:]
+
+    counts = fold_ideals(P, [1], leaf, _poly_mul, stack, split, cap=ideal_cap)
     return _table(pi, W, counts, "general")
 
 

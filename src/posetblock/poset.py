@@ -1,9 +1,14 @@
-"""Finite posets on {1,...,n}: ideals, the series-parallel fold, classifiers, duals.
+"""Finite posets on {1,...,n}: ideals, the ideal-lattice fold, classifiers, duals.
 
 Elements are 1-indexed at the API boundary (matching the usual convention
 for coordinate labels) and 0-indexed internally.  Every subset of the
 ground set is stored as a bitmask over the internal indices, so closure,
 maximal-element and comparability queries are single integer operations.
+
+fold_ideals answers questions about every ideal of P and lists none: a
+piece is a disjoint union, an ordinal sum, or splits on a maximal element.
+ideals_with_sum lists one sum's ideals the same way; enumerate_ideals
+walks the whole lattice.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .errors import (
     PreconditionError,
 )
 
-N_CAP_DEFAULT = 24
+N_CAP_DEFAULT = 64
 IDEAL_CAP_DEFAULT = 1 << 22
 
 
@@ -212,89 +217,170 @@ def ideal_closure(P: Poset, S: Iterable[int]) -> Ideal:
     return Ideal(n=P.n, members_mask=members, max_mask=P.maximals_mask(members))
 
 
-def ideal_masks(P: Poset, within: int, *, cap: int = IDEAL_CAP_DEFAULT) -> set[int]:
-    """Bitmasks of every ideal of the subposet P induces on the set within.
+def enumerate_ideals(P: Poset, *, cap: int = IDEAL_CAP_DEFAULT) -> IdealFamily:
+    """Every ideal of P with its maximal elements, in ascending mask order.
 
-    BFS over the down-set lattice: an ideal grows by any element of within
-    whose strict down-set inside within it already contains.  Raises
-    ExplosionError when the ideal count exceeds cap (an antichain has 2^n
-    ideals).
+    BFS over the down-set lattice: an ideal grows by any element whose
+    strict down-set it already contains.  Raises ExplosionError when the
+    ideal count exceeds cap (an antichain has 2^n ideals).
     """
-    strict_down = [P.down[i] & within & ~(1 << i) for i in range(P.n)]
+    strict_down = [P.down[i] & ~(1 << i) for i in range(P.n)]
     seen = {0}
     frontier = [0]
     while frontier:
         nxt = []
         for mask in frontier:
-            for i in _bits(within & ~mask):
+            for i in _bits(((1 << P.n) - 1) & ~mask):
                 if strict_down[i] & ~mask == 0:
                     grown = mask | (1 << i)
                     if grown not in seen:
                         seen.add(grown)
                         if len(seen) > cap:
-                            raise ExplosionError(
-                                f"ideal count exceeds cap {cap}"
-                            )
+                            raise ExplosionError(f"ideal count exceeds cap {cap}")
                         nxt.append(grown)
         frontier = nxt
-    return seen
-
-
-def enumerate_ideals(P: Poset, *, cap: int = IDEAL_CAP_DEFAULT) -> IdealFamily:
-    """Every ideal of P with its maximal elements, in ascending mask order."""
-    masks = sorted(ideal_masks(P, (1 << P.n) - 1, cap=cap))
-    ideals = tuple(
-        Ideal(n=P.n, members_mask=m, max_mask=P.maximals_mask(m)) for m in masks
-    )
+    ideals = tuple(Ideal(P.n, m, P.maximals_mask(m)) for m in sorted(seen))
     return IdealFamily(poset=P, ideals=ideals)
 
 
 def _components(piece: int, adjacent) -> list[int]:
     """Connected components of the graph on piece with i ~ j iff bit j of adjacent[i]."""
     parts = []
-    left = piece
-    while left:
-        part = grown = left & -left
+    while piece:
+        part = grown = piece & -piece
         while grown:
             reach = 0
-            for i in _bits(grown):
-                reach |= adjacent[i]
-            grown = reach & left & ~part
+            while grown:  # _bits, inlined: this loop is the fold's hot spot
+                low = grown & -grown
+                reach |= adjacent[low.bit_length() - 1]
+                grown ^= low
+            grown = reach & piece & ~part
             part |= grown
         parts.append(part)
-        left &= ~part
+        piece &= ~part
     return parts
 
 
-def fold_ideals(P: Poset, leaf, flat, join, stack):
-    """Answer a question about P's ideal lattice by folding its series-parallel
-    decomposition (Stanley, Enumerative Combinatorics 1, ch. 3): element i
-    (0-indexed) gives leaf(i), a disjoint union joins its parts' values,
-    join(a, b), and an ordinal sum stacks each summand onto the value low of
-    the summands in the mask below it, stack(low, below, high).  Only a piece
-    that is neither gives flat(piece), which walks its ideal_masks."""
+def _take_apart(P: Poset, cap: int):
+    """How the fold takes a piece of two or more elements apart: ("union",
+    its connected parts), ("sum", its ordinal summands bottom first) or else
+    ("split", (x, down)), with x a maximal element of the largest down-set
+    down in the piece.  Raises ExplosionError past cap split pieces."""
     comparable = [P.down[i] | P.up[i] for i in range(P.n)]
     incomparable = [~c for c in comparable]
+    splits = 0
 
-    def fold(piece: int):
-        if piece & (piece - 1) == 0:
-            return leaf(piece.bit_length() - 1)
+    def take_apart(piece: int):
+        nonlocal splits
         parts = _components(piece, comparable)
         if len(parts) > 1:
-            return reduce(join, map(fold, parts))
+            return "union", parts
         parts = _components(piece, incomparable)
-        if len(parts) == 1:
-            return flat(piece)
-        # bottom first: every element of a lower summand lies below every
-        # element of a higher one, so it has fewer elements below it
-        parts.sort(key=lambda part: (P.down[part.bit_length() - 1] & piece).bit_count())
-        value, below = fold(parts[0]), parts[0]
-        for part in parts[1:]:
-            value = stack(value, below, fold(part))
-            below |= part
+        if len(parts) > 1:
+            # bottom first: every element of a lower summand lies below every
+            # element of a higher one, so it has fewer elements below it
+            parts.sort(key=lambda part: (P.down[part.bit_length() - 1] & piece).bit_count())
+            return "sum", parts
+        splits += 1
+        if splits > cap:
+            raise ExplosionError(f"pieces split on a maximal element exceed cap {cap}")
+        x = max(_bits(P.maximals_mask(piece)), key=lambda i: (P.down[i] & piece).bit_count())
+        return "split", (x, P.down[x] & piece)
+
+    return take_apart
+
+
+def fold_ideals(
+    P: Poset, empty, leaf, join, stack, split, *, cap: int = IDEAL_CAP_DEFAULT
+):
+    """Answer a question about P's ideal lattice by folding its pieces,
+    memoised on their masks (Stanley, Enumerative Combinatorics 1, ch. 3).
+    No piece gives empty and element i (0-indexed) leaf(i); a disjoint union
+    joins its parts' values, join(a, b); an ordinal sum stacks each summand
+    onto the value low of the summands in the mask below, stack(low, below,
+    high).  Any other piece has as ideals those of piece - x and down | J for
+    J those of piece - down, for x maximal with down-set down, so it gives
+    split(x, down, fold(piece - x), fold(piece - down)).  More than cap split
+    pieces raise ExplosionError; a series-parallel poset splits none."""
+    take_apart = _take_apart(P, cap)
+    memo = {0: empty}
+
+    def fold(piece: int):
+        if piece in memo:
+            return memo[piece]
+        if piece & (piece - 1) == 0:
+            return leaf(piece.bit_length() - 1)
+        kind, parts = take_apart(piece)
+        if kind == "union":
+            value = reduce(join, map(fold, parts))
+        elif kind == "sum":
+            value, below = fold(parts[0]), parts[0]
+            for part in parts[1:]:
+                value = stack(value, below, fold(part))
+                below |= part
+        else:
+            x, down = parts
+            value = split(x, down, fold(piece & ~(1 << x)), fold(piece & ~down))
+        memo[piece] = value
         return value
 
     return fold((1 << P.n) - 1)
+
+
+def ideals_with_sum(
+    P: Poset, k, total: int, *, cap: int = IDEAL_CAP_DEFAULT
+) -> list[int]:
+    """Masks of the ideals J of P with sum(k[i], i in J) == total, ascending.
+
+    The positive integers k are indexed by 0-indexed element.  The pieces
+    come apart as in fold_ideals, but from the top with a budget: a branch
+    whose budget is negative or more than its piece holds is never taken.
+    Raises ExplosionError when more than cap pieces split, or when a piece
+    has more than cap ideals of one sum."""
+    take_apart = _take_apart(P, cap)
+    apart: dict = {}
+    sums: dict = {}
+    memo: dict = {}
+
+    def weight(piece: int) -> int:
+        if piece not in sums:
+            sums[piece] = sum(k[i] for i in _bits(piece))
+        return sums[piece]
+
+    def masks(piece: int, budget: int):
+        if not 0 <= budget <= weight(piece):
+            return ()
+        if budget == 0 or budget == weight(piece):
+            return (piece if budget else 0,)
+        if (piece, budget) in memo:
+            return memo[piece, budget]
+        if piece not in apart:
+            apart[piece] = take_apart(piece)
+        kind, parts = apart[piece]
+        if kind == "union":
+            low, high = parts[0], piece & ~parts[0]
+            out = [
+                a | b
+                for t in range(budget + 1)
+                for a in masks(low, t)
+                for b in masks(high, budget - t)
+            ]
+        elif kind == "sum":
+            # the bottom summand's ideals, then all of it under a nonempty
+            # ideal of the summands above
+            low = parts[0]
+            out = list(masks(low, budget))
+            out += [low | b for b in masks(piece & ~low, budget - weight(low)) if b]
+        else:
+            x, down = parts
+            out = list(masks(piece & ~(1 << x), budget))
+            out += [down | b for b in masks(piece & ~down, budget - weight(down))]
+        if len(out) > cap:
+            raise ExplosionError(f"ideal count exceeds cap {cap}")
+        memo[piece, budget] = out
+        return out
+
+    return sorted(masks((1 << P.n) - 1, total))
 
 
 def dual_poset(P: Poset) -> Poset:

@@ -5,12 +5,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import time
 
 import pytest
 
 import posetblock as pb
 from posetblock import cli
 from posetblock.cli import main
+from conftest import fence
 
 EX45 = {
     "q": 7,
@@ -111,13 +113,14 @@ def test_check_code_example69(tmp_path, capsys):
 
 
 def test_check_code_passes_its_ideal_cap(tmp_path, capsys, monkeypatch):
-    # the N poset: its Singleton maxima walk its 8 ideals under the CLI cap
+    # a 12-fence: its Singleton maxima split 8 pieces on a maximal element
+    n, pairs = fence(12)
     cfg = {
         "q": 5,
-        "poset": {"n": 4, "relations": [[1, 3], [2, 3], [2, 4]]},
-        "pi": [1, 2, 1, 1],
+        "poset": {"n": n, "relations": pairs},
+        "pi": [1, 2] * 6,
         "weight": "lee",
-        "code": {"generator": [[1, 1, 1, 1, 1]]},
+        "code": {"generator": [[1] * 18]},
     }
     seen = []
     real = cli.singleton_report
@@ -134,6 +137,35 @@ def test_check_code_passes_its_ideal_cap(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, dict(cfg, caps={"ideals": 8}))
     assert run(capsys, "check-code", "--config", path)[0] == 0
     assert seen == [pb.poset.IDEAL_CAP_DEFAULT, 7, 8]
+
+
+def test_check_code_lists_only_the_covering_ideals(tmp_path, capsys):
+    # 2^24 ideals; the listing generates only the 24 with sum(k) = N - k = 23
+    cfg = {
+        "q": 7,
+        "poset": {"n": 24, "relations": []},
+        "pi": [1] * 24,
+        "weight": "lee",
+        "code": {"generator": [[1] * 24]},
+    }
+    path = _write(tmp_path, cfg)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check-code", "--config", path)
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    verdicts = json.loads(out)["i_perfect_by_ideal"]
+    # ascending mask order: the ideal missing 24 has the smallest mask
+    assert [v["ideal"] for v in verdicts] == [
+        [i for i in range(1, 25) if i != left] for left in range(24, 0, -1)
+    ]
+    assert all(v["i_perfect"] for v in verdicts)
+    # 2^12 ideals over a cap of 100, as distribution already allows
+    cfg = dict(cfg, poset={"n": 12, "relations": []}, pi=[1] * 12,
+               code={"generator": [[1] * 12]}, caps={"ideals": 100})
+    path = _write(tmp_path, cfg)
+    assert run(capsys, "distribution", "--config", path)[0] == 0
+    code, out, _ = run(capsys, "check-code", "--config", path)
+    assert code == 0 and len(json.loads(out)["i_perfect_by_ideal"]) == 12
 
 
 def test_check_code_zero_dimension(tmp_path, capsys):
@@ -199,12 +231,12 @@ def test_oracle_compare_over_cap(tmp_path, capsys):
     assert "cap" in err
 
 
-# q^N = 3^4 fits the oracle; the N poset (1, 2 <= 3 and 2 <= 4) is no
-# disjoint union and no ordinal sum, so general enumerates its 8 ideals
+# q^N = 3^7 fits the oracle; the 7-fence is no disjoint union and no
+# ordinal sum, and general splits 3 of its pieces on a maximal element
 SMALL_GENERAL = {
     "q": 3,
-    "poset": {"n": 4, "relations": [[1, 3], [2, 3], [2, 4]]},
-    "pi": [1, 1, 1, 1],
+    "poset": dict(zip(("n", "relations"), fence(7))),
+    "pi": [1] * 7,
     "weight": "lee",
 }
 

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import posetblock as pb
-from conftest import N_POSET, antichain, chain
+from conftest import antichain, chain, disjoint_union, fence, ordinal_sum
 
 
 def lee(q):
@@ -293,7 +293,7 @@ def test_singleton_report_examples(ex69, ex73):
 
 def test_singleton_report_enumerates_no_ideal(ex69, monkeypatch):
     # ex69 is a disjoint union of ordinal sums of single elements, so the
-    # fold reaches no piece whose ideals it must walk
+    # fold reaches no piece that it must split
     P, pi, W, C = ex69
     calls = []
 
@@ -304,15 +304,12 @@ def test_singleton_report_enumerates_no_ideal(ex69, monkeypatch):
 
         return wrapper
 
-    for module, name in [
-        (pb.poset, "enumerate_ideals"),
-        (pb.poset, "ideal_masks"),
-        (pb.codes, "ideal_masks"),
-    ]:
-        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    monkeypatch.setattr(pb.poset, "enumerate_ideals", counted(pb.poset.enumerate_ideals))
     rep = pb.singleton_report(C, P, pi, W)
     assert calls == []
     assert (rep.singleton_lhs, rep.ppi_lhs) == (6, 7)
+    # and it splits no piece on a maximal element
+    assert pb.singleton_report(C, P, pi, W, ideal_cap=0) == rep
 
 
 @pytest.mark.parametrize("n, expected", [(20, (6, 19)), (24, (7, 23))])
@@ -327,39 +324,40 @@ def test_singleton_report_on_large_antichains(n, expected):
     assert (rep.singleton_lhs, rep.ppi_lhs) == expected
 
 
-def _n_poset_code():
-    # the N poset does not decompose, so the fold walks its 8 ideals flat
-    P = pb.build_poset(*N_POSET)
-    pi = pb.label_map([1, 2, 1, 1])
-    return pb.linear_code(5, [[1, 1, 1, 1, 1]]), P, pi, lee(5)
+def _fence_codes():
+    # a 12-fence splits 8 pieces on a maximal element, alone and inside a
+    # disjoint union and an ordinal sum
+    for n, pairs in (fence(12), ordinal_sum(disjoint_union(fence(12), (1, [])), (2, []))):
+        pi = pb.label_map([1 + i % 2 for i in range(n)])
+        yield pb.linear_code(5, [[1] * pi.N]), pb.build_poset(n, pairs), pi, lee(5)
 
 
 def test_singleton_report_honours_the_ideal_cap():
-    C, P, pi, W = _n_poset_code()
-    with pytest.raises(pb.ExplosionError, match="cap 7"):
-        pb.singleton_report(C, P, pi, W, ideal_cap=7)
-    assert pb.singleton_report(C, P, pi, W, ideal_cap=8) == pb.singleton_report(C, P, pi, W)
+    for C, P, pi, W in _fence_codes():
+        with pytest.raises(pb.ExplosionError, match="cap 7"):
+            pb.singleton_report(C, P, pi, W, ideal_cap=7)
+        assert pb.singleton_report(C, P, pi, W, ideal_cap=8) == pb.singleton_report(C, P, pi, W)
 
 
 def test_singleton_report_default_ideal_cap_is_unchanged(monkeypatch):
-    C, P, pi, W = _n_poset_code()
     caps = []
-    real = pb.codes.ideal_masks
+    real = pb.codes.fold_ideals
 
-    def spy(P, within, *, cap):
+    def spy(*args, cap):
         caps.append(cap)
-        return real(P, within, cap=cap)
+        return real(*args, cap=cap)
 
-    monkeypatch.setattr(pb.codes, "ideal_masks", spy)
-    rep = pb.singleton_report(C, P, pi, W)
-    assert caps == [pb.poset.IDEAL_CAP_DEFAULT]
-    # the per-cardinality maxima over the whole ideal lattice
-    best = {}
-    for ideal in pb.enumerate_ideals(P).ideals:
-        c = len(ideal.members)
-        best[c] = max(best.get(c, 0), sum(pi.k[i - 1] for i in ideal.members))
-    assert rep.singleton_lhs == best[rep.r_wtilde]
-    assert rep.ppi_lhs == best[rep.d_ppi - 1]
+    monkeypatch.setattr(pb.codes, "fold_ideals", spy)
+    for C, P, pi, W in _fence_codes():
+        rep = pb.singleton_report(C, P, pi, W)
+        # the per-cardinality maxima over the whole ideal lattice
+        best = {}
+        for ideal in pb.enumerate_ideals(P).ideals:
+            c = len(ideal.members)
+            best[c] = max(best.get(c, 0), sum(pi.k[i - 1] for i in ideal.members))
+        assert rep.singleton_lhs == best[rep.r_wtilde]
+        assert rep.ppi_lhs == best[rep.d_ppi - 1]
+    assert caps == [pb.poset.IDEAL_CAP_DEFAULT] * 2
 
 
 def test_singleton_full_space_is_mds():
@@ -452,7 +450,6 @@ def test_verify_duality_enumerates_no_ideal(monkeypatch):
         raise AssertionError("verify_duality walked an ideal lattice")
 
     monkeypatch.setattr(pb.poset, "enumerate_ideals", refuse)
-    monkeypatch.setattr(pb.codes, "ideal_masks", refuse)
     P = chain(4)
     pi = pb.label_map([2] * 4)
     assert pb.verify_duality(pb.chain_mds_code(P, pi, 5, 4), P, pi, lee(5))

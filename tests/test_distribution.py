@@ -298,18 +298,18 @@ def test_three_level_hierarchical_vs_general_and_oracle():
 
 
 def test_arrangement_cap_propagates():
-    # the ideal cap reaches the enumeration of a piece that does not
-    # decompose (a 6-fence, 21 ideals) through both entry points, also
-    # inside a disjoint union and an ordinal sum
+    # the ideal cap bounds the pieces split on a maximal element: a 12-fence
+    # splits 8 of them, through both entry points, also inside a disjoint
+    # union and an ordinal sum
     W = pb.lee_weight(7)
-    for n, pairs in (fence(6), ordinal_sum(disjoint_union(fence(6), (1, [])), (2, []))):
+    for n, pairs in (fence(12), ordinal_sum(disjoint_union(fence(12), (1, [])), (2, []))):
         P, pi = pb.build_poset(n, pairs), pb.label_map([1] * n)
-        with pytest.raises(pb.ExplosionError):
-            pb.distribution_general(P, pi, W, ideal_cap=10)
-        with pytest.raises(pb.ExplosionError):
-            pb.distribution(P, pi, W, method="general", ideal_cap=10)
-        assert pb.distribution(P, pi, W, ideal_cap=21).check_normalization()
-    # an antichain decomposes into single elements and enumerates no ideal
+        with pytest.raises(pb.ExplosionError, match="cap 7"):
+            pb.distribution_general(P, pi, W, ideal_cap=7)
+        with pytest.raises(pb.ExplosionError, match="cap 7"):
+            pb.distribution(P, pi, W, method="general", ideal_cap=7)
+        assert pb.distribution(P, pi, W, ideal_cap=8).check_normalization()
+    # an antichain decomposes into single elements and splits no piece
     table = pb.distribution(antichain(8), pb.label_map([1] * 8), W, ideal_cap=0)
     assert table.check_normalization()
 
@@ -345,6 +345,19 @@ def test_mixed_block_antichain_n24_general_under_a_second():
         lambda: pb.distribution(antichain(24), pi, pb.lee_weight(7), method="general"))
     assert table.check_normalization()
     assert seconds < 1.0
+
+
+def test_long_fences_split_on_a_maximal_element():
+    # a fence has Fibonacci(n) ideals; walking the 24-fence's took about 2 s
+    W = pb.lee_weight(7)
+    for n, bound in ((24, 0.2), (48, 2.0)):
+        P = pb.build_poset(*fence(n))
+        pi = pb.label_map([1 + i % 3 for i in range(n)])
+        table, seconds = _timed(lambda: pb.distribution(P, pi, W))
+        assert table.method == "general" and table.check_normalization()
+        assert seconds < bound
+        best = pb.codes._max_ideal_k_sums(P, pi)
+        assert len(best) == n + 1 and best[n] == pi.N
 
 
 def test_series_parallel_n24_general_under_a_second():

@@ -43,7 +43,8 @@ def test_build_poset_errors():
     with pytest.raises(pb.BoundsError):
         pb.build_poset(3, [(1, 4)])
     with pytest.raises(pb.BoundsError):
-        pb.build_poset(30, [])
+        pb.build_poset(65, [])
+    assert pb.build_poset(64, []).n == 64
 
 
 def test_ideal_closure_example(ex45):
@@ -224,3 +225,21 @@ def test_poset_json_round_trip():
     for _ in range(10):
         P = random_poset(6, rng)
         assert pb.poset_from_json(P.to_json_dict()) == P
+
+
+def test_ideals_with_sum_honours_the_cap():
+    # C(6, 3) = 20 ideals of sum 3 on a 6-antichain, which splits no piece
+    P, k = antichain(6), [1] * 6
+    with pytest.raises(pb.ExplosionError, match="ideal count exceeds cap 19"):
+        pb.poset.ideals_with_sum(P, k, 3, cap=19)
+    assert len(pb.poset.ideals_with_sum(P, k, 3, cap=20)) == 20
+    # the 3 x 4 grid has 2 ideals of size 2, and listing them splits 6 pieces
+    def at(i, j):
+        return 4 * i + j + 1
+
+    pairs = [(at(i, j), at(i + 1, j)) for i in range(2) for j in range(4)]
+    pairs += [(at(i, j), at(i, j + 1)) for i in range(3) for j in range(3)]
+    P = pb.build_poset(12, pairs)
+    with pytest.raises(pb.ExplosionError, match="maximal element exceed cap 5"):
+        pb.poset.ideals_with_sum(P, [1] * 12, 2, cap=5)
+    assert pb.poset.ideals_with_sum(P, [1] * 12, 2, cap=6) == [0b11, 0b10001]

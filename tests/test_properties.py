@@ -28,6 +28,7 @@ pwpi_weight over the nonzero codewords.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from itertools import combinations, product
 from math import prod
 from unittest import mock
@@ -38,7 +39,7 @@ from hypothesis import strategies as st
 
 import posetblock as pb
 from conftest import N_POSET, disjoint_union, fence, ordinal_sum
-from posetblock.distribution import _ideal_sum
+from posetblock.poset import ideals_with_sum
 
 MAX_SPACE = 10**5
 KERNEL_SPACE = 3**7
@@ -172,18 +173,72 @@ def large_composites(draw):
     return P, pi, _weight(draw, q)
 
 
+def _ideal_sums(P, pi, W):
+    """The paper's sum over every ideal of enumerate_ideals: F(P) as a
+    coefficient list, and best[c], the largest sum of k over the ideals of
+    cardinality c."""
+    D = {k: [pb.block_class_size(W, b, k) for b in range(W.M_w + 1)] for k in set(pi.k)}
+    F = [0] * (P.n * W.M_w + 1)
+    best = [0] * (P.n + 1)
+    for I in pb.enumerate_ideals(P).ideals:
+        below = [pi.k[i] for i in range(P.n) if (I.members_mask & ~I.max_mask) >> i & 1]
+        term = {len(below) * W.M_w: W.q ** sum(below)}
+        for i in range(P.n):
+            if I.max_mask >> i & 1:
+                grown = Counter()
+                for e, coeff in term.items():
+                    for b in range(1, W.M_w + 1):
+                        grown[e + b] += coeff * D[pi.k[i]][b]
+                term = grown
+        for e, coeff in term.items():
+            F[e] += coeff
+        weight = sum(pi.k[i] for i in range(P.n) if I.members_mask >> i & 1)
+        best[I.card] = max(best[I.card], weight)
+    return F, best
+
+
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(large_composites())
 def test_decomposition_equals_flat_ideal_sum(instance):
     P, pi, W = instance
-    flat = _ideal_sum(P, pi, W, (1 << P.n) - 1, pb.poset.IDEAL_CAP_DEFAULT)
+    F, best = _ideal_sums(P, pi, W)
     table = pb.distribution_general(P, pi, W)
-    assert table.counts == tuple(flat)
+    assert table.counts == tuple(F)
     assert table.check_normalization()
-    best = [0] * (P.n + 1)
-    for I in pb.enumerate_ideals(P).ideals:
-        best[I.card] = max(best[I.card], sum(pi.k[i - 1] for i in I.members))
     assert pb.codes._max_ideal_k_sums(P, pi) == best
+
+
+@st.composite
+def sparse_posets(draw):
+    """Random posets with n <= 12 from n - 1 to 2n drawn relations: fences,
+    crowns and bipartite shapes that split on a maximal element."""
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 12))
+    pairs = list(combinations(range(1, n + 1), 2))
+    pairs = draw(st.lists(st.sampled_from(pairs), min_size=n - 1, max_size=2 * n)) if pairs else []
+    P = _relabel(n, pairs, draw(st.permutations(range(1, n + 1))))
+    if q**n <= MAX_SPACE:
+        pi = _block_lengths(draw, n, q, MAX_SPACE)
+    else:
+        pi = pb.label_map(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    return P, pi, _weight(draw, q)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(sparse_posets())
+def test_split_equals_the_ideal_sum_and_the_oracle(instance):
+    P, pi, W = instance
+    F, best = _ideal_sums(P, pi, W)
+    table = pb.distribution_general(P, pi, W)
+    assert table.counts == tuple(F)
+    if W.q**pi.N <= MAX_SPACE:
+        assert pb.oracle_distribution(P, pi, W).to_table().counts == table.counts
+    assert pb.codes._max_ideal_k_sums(P, pi) == best
+    # the check-code listing: the ideals of each sum of k, ascending
+    want = [[] for _ in range(pi.N + 1)]
+    for I in pb.enumerate_ideals(P).ideals:
+        want[sum(pi.k[i - 1] for i in I.members)].append(I.members_mask)
+    assert [ideals_with_sum(P, pi.k, total) for total in range(pi.N + 1)] == want
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
