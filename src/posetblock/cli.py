@@ -4,8 +4,10 @@
         [--radius R] [--threads T] [--cap-ideals N] [--cap-space N]
 
 Commands: distribution | ball | check-code | oracle-compare | construct
-| classify.  One parser takes the command as a positional and the same
-flags for every command; a command ignores the flags it does not use.
+| classify.  One parser, built once at import, takes the command as a
+positional and the same flags for every command; a command ignores the
+flags it does not use.  The distribution and ball tables are written by
+distribution.table_to_json, every other artifact by json.dumps.
 Diagnostics go to stderr, data to stdout.  Exit codes: 0 ok, 1 table
 mismatch (oracle-compare), 2 config error or bad arguments, 3 enumeration
 over cap.
@@ -17,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import accumulate
 
 from .codes import construct_I_perfect, is_I_perfect, singleton_report
 from .config import InstanceConfig, load_config
@@ -26,7 +29,7 @@ from .distribution import (
     ball_volume,
     distribution,
     table_to_csv,
-    table_to_json_dict,
+    table_to_json,
 )
 from .errors import ConfigError, ExplosionError, PosetBlockError
 from .oracle import oracle_distribution
@@ -53,11 +56,8 @@ def _threads_flag(value: str) -> str:
     return value
 
 
-def _emit(payload, fmt: str, table=None) -> None:
-    if fmt == "csv" and table is not None:
-        sys.stdout.write(table_to_csv(table))
-    else:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+def _emit(payload) -> None:
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _caps(cfg: InstanceConfig, args) -> tuple:
@@ -93,21 +93,17 @@ def _compute_table(cfg: InstanceConfig, method: str, threads: int, args):
 
 def cmd_distribution(cfg: InstanceConfig, args) -> int:
     table = _compute_table(cfg, args.method, _auto_threads(args.threads), args)
-    _emit(table_to_json_dict(table), args.format, table)
+    if args.format == "csv":
+        sys.stdout.write(table_to_csv(table))
+    else:
+        sys.stdout.write(table_to_json(table) + "\n")
     return EXIT_OK
 
 
 def cmd_ball(cfg: InstanceConfig, args) -> int:
     table = _compute_table(cfg, args.method, _auto_threads(args.threads), args)
     if args.radius is None:
-        volumes = [
-            {"r": r, "volume": str(ball_volume(table, r))}
-            for r in range(table.max_weight + 1)
-        ]
-        _emit(
-            {"q": table.q, "N": table.N, "method": table.method, "volumes": volumes},
-            "json",
-        )
+        sys.stdout.write(table_to_json(table, "volume", accumulate(table.counts)) + "\n")
     else:
         _emit(
             {
@@ -116,8 +112,7 @@ def cmd_ball(cfg: InstanceConfig, args) -> int:
                 "method": table.method,
                 "radius": args.radius,
                 "volume": str(ball_volume(table, args.radius)),
-            },
-            "json",
+            }
         )
     return EXIT_OK
 
@@ -148,7 +143,7 @@ def cmd_check_code(cfg: InstanceConfig, args) -> int:
             }
         )
     payload["i_perfect_by_ideal"] = verdicts
-    _emit(payload, "json")
+    _emit(payload)
     return EXIT_OK
 
 
@@ -182,8 +177,7 @@ def cmd_oracle_compare(cfg: InstanceConfig, args) -> int:
             "methods": sorted(tables),
             "match": not diffs,
             "diffs": diffs,
-        },
-        "json",
+        }
     )
     return EXIT_OK if not diffs else EXIT_MISMATCH
 
@@ -198,7 +192,7 @@ def cmd_construct(cfg: InstanceConfig, args) -> int:
             f"{sorted(set(ideal.members) - set(cfg.ideal_members))})"
         )
     code = construct_I_perfect(cfg.poset, cfg.pi, ideal, cfg.q)
-    _emit(code.to_json_dict(), "json")
+    _emit(code.to_json_dict())
     return EXIT_OK
 
 
@@ -213,8 +207,7 @@ def cmd_classify(cfg: InstanceConfig, args) -> int:
             "heights": list(cls.levels.heights),
             "levels": [list(lvl) for lvl in cls.levels.levels],
             "level_sizes": list(cls.levels.level_sizes),
-        },
-        "json",
+        }
     )
     return EXIT_OK
 
@@ -245,8 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process; parse_args keeps no state between calls
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config)
         # CLI flags win; the config may set defaults for both

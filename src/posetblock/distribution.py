@@ -35,8 +35,8 @@ from .poset import (
     Poset,
     _bits,
     chain_order,
-    classify,
     fold_ideals,
+    is_chain,
 )
 from .space import LabelMap
 from .weights import WeightModel, block_class_size
@@ -170,7 +170,7 @@ def distribution(
 ) -> DistributionTable:
     """Dispatch: auto picks chain on chains and general everywhere else."""
     if method == "auto":
-        method = "chain" if classify(P).is_chain else "general"
+        method = "chain" if is_chain(P) else "general"
     if method == "general":
         return distribution_general(P, pi, W, ideal_cap=ideal_cap)
     if method == "chain":
@@ -180,7 +180,7 @@ def distribution(
 
 def applicable_methods(P: Poset, pi: LabelMap) -> list[str]:
     """Counting methods whose preconditions hold for this instance."""
-    return ["general", "chain"] if classify(P).is_chain else ["general"]
+    return ["general", "chain"] if is_chain(P) else ["general"]
 
 
 def table_to_json_dict(table: DistributionTable) -> dict:
@@ -208,8 +208,19 @@ def table_from_json_dict(obj: dict) -> DistributionTable:
     )
 
 
-def table_to_json(table: DistributionTable) -> str:
-    return json.dumps(table_to_json_dict(table), indent=2)
+def table_to_json(table: DistributionTable, key: str = "count", values=None) -> str:
+    """The table artifact: exactly json.dumps(table_to_json_dict(table), indent=2).
+
+    The one writer of the {"q", "N", "method", "<key>s": [{"r", "<key>"}]}
+    shape: every row is formatted from one template, so the pure-Python
+    indented encoder never runs, and the bytes are the encoder's.  values,
+    one per r, replaces the counts; the CLI writes ball volumes as the
+    running sums of the counts under key "volume".
+    """
+    row = '    {\n      "r": %d,\n      "' + key + '": "%d"\n    }'
+    rows = ",\n".join(row % rv for rv in enumerate(table.counts if values is None else values))
+    return '{\n  "q": %d,\n  "N": %d,\n  "method": %s,\n  "%ss": [\n%s\n  ]\n}' % (
+        table.q, table.N, json.dumps(table.method), key, rows)
 
 
 def table_to_csv(table: DistributionTable) -> str:

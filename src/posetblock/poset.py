@@ -438,12 +438,17 @@ def classify(P: Poset) -> PosetClass:
     )
 
 
+def is_chain(P: Poset) -> bool:
+    """Whether every element is comparable to every other: one mask test each."""
+    full = (1 << P.n) - 1
+    return all(d | u == full for d, u in zip(P.down, P.up))
+
+
 def chain_order(P: Poset) -> tuple[int, ...]:
     """Elements of a chain poset from bottom to top (1-indexed)."""
-    cls = classify(P)
-    if not cls.is_chain:
+    if not is_chain(P):
         raise PreconditionError("poset is not a chain")
-    return tuple(lvl[0] for lvl in cls.levels.levels)
+    return tuple(sorted(range(1, P.n + 1), key=lambda a: P.down[a - 1].bit_count()))
 
 
 def is_finer(P: Poset, P2: Poset) -> bool:

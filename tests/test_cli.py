@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import time
 
@@ -12,12 +13,26 @@ import pytest
 import posetblock as pb
 from posetblock import cli
 from posetblock.cli import main
+from posetblock.config import parse_config
 from conftest import fence
 
 EX45 = {
     "q": 7,
     "poset": {"n": 5, "relations": [[1, 2]]},
     "pi": [2, 3, 4, 2, 2],
+    "weight": "lee",
+}
+EX69 = {
+    "q": 7,
+    "poset": {"n": 5, "relations": [[1, 4], [2, 4], [3, 5]]},
+    "pi": [3, 2, 1, 1, 1],
+    "weight": "lee",
+    "code": {"generator": [[0, 0, 0, 0, 0, 0, 1, 1]]},
+}
+EX73 = {
+    "q": 7,
+    "poset": {"n": 5, "relations": [[i, top] for i in (1, 2, 3) for top in (4, 5)]},
+    "pi": [2] * 5,
     "weight": "lee",
 }
 
@@ -93,17 +108,27 @@ def test_ball_command_all_radii(cfg45, capsys):
     assert all(a <= b for a, b in zip(volumes, volumes[1:]))
 
 
-def test_check_code_example69(tmp_path, capsys):
-    cfg = {
-        "q": 7,
-        "poset": {"n": 5, "relations": [[1, 4], [2, 4], [3, 5]]},
-        "pi": [3, 2, 1, 1, 1],
-        "weight": "lee",
-        "code": {"generator": [[0, 0, 0, 0, 0, 0, 1, 1]]},
+@pytest.mark.parametrize("instance", [EX45, EX69, EX73], ids=["ex45", "ex69", "ex73"])
+def test_table_artifacts_keep_the_indented_encoder_bytes(tmp_path, capsys, instance):
+    cfg = parse_config(instance)
+    table = pb.distribution(cfg.poset, cfg.pi, cfg.weight)
+    volumes = [
+        {"r": r, "volume": str(pb.ball_volume(table, r))}
+        for r in range(table.max_weight + 1)
+    ]
+    expected = {
+        "distribution": pb.table_to_json_dict(table),
+        "ball": {"q": table.q, "N": table.N, "method": table.method, "volumes": volumes},
     }
-    path = tmp_path / "ex69.json"
-    path.write_text(json.dumps(cfg))
-    code, out, _ = run(capsys, "check-code", "--config", str(path))
+    path = _write(tmp_path, instance)
+    for command, payload in expected.items():
+        code, out, _ = run(capsys, command, "--config", path)
+        assert code == 0
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_check_code_example69(tmp_path, capsys):
+    code, out, _ = run(capsys, "check-code", "--config", _write(tmp_path, EX69))
     assert code == 0
     payload = json.loads(out)
     assert payload["d_pwpi"] == 11 and payload["d_ppi"] == 5
@@ -515,6 +540,7 @@ def test_help_names_every_command(capsys):
 
 
 def test_main_builds_one_parser(cfg45, capsys, monkeypatch):
+    """One parser per process: importing cli builds it, main() builds none."""
     made = []
     real = argparse.ArgumentParser.__init__
 
@@ -525,4 +551,21 @@ def test_main_builds_one_parser(cfg45, capsys, monkeypatch):
     # subparsers are built by the same class, so each one counts too
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     assert run(capsys, "distribution", "--config", cfg45)[0] == 0
-    assert len(made) == 1
+    assert run(capsys, "ball", "--config", cfg45)[0] == 0
+    assert made == []  # main() reuses the parser built at import
+    importlib.reload(cli)
+    assert made == ["posetblock"]
+
+
+def test_reused_parser_keeps_no_state(cfg45, capsys):
+    code, fresh, _ = run(capsys, "distribution", "--config", cfg45)
+    assert code == 0
+    # ex45 is no chain, so a --method chain left behind would exit 2
+    code, _, err = run(capsys, "distribution", "--config", cfg45,
+                       "--method", "chain", "--format", "csv")
+    assert code == 2 and "not a chain" in err
+    code, out, _ = run(capsys, "distribution", "--config", cfg45, "--format", "csv")
+    assert code == 0 and out.splitlines()[0] == "r,count"
+    code, out, _ = run(capsys, "distribution", "--config", cfg45)
+    assert code == 0 and out == fresh
+    assert json.loads(out)["method"] == "general"

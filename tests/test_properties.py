@@ -23,13 +23,17 @@ must match the I-ball verdict, disjoint r-balls with M_w | r must leave
 every B_{I u J}(0) with |I| = |J| = r/M_w free of nonzero codewords, and
 min_distance, under the weight and under Hamming, must equal the least
 pwpi_weight over the nonzero codewords.
+
+table_to_json must write the bytes of json.dumps(..., indent=2) for every
+drawn table, with its counts and with its running sums as ball volumes.
 """
 
 from __future__ import annotations
 
+import json
 import warnings
 from collections import Counter
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import prod
 from unittest import mock
 
@@ -411,3 +415,20 @@ def test_kernel_weighs_every_range_like_pwpi_weight(case):
         for lo, hi in ranges:
             want = [pb.pwpi_weight(P, pi, W, _vector(v, W.q, pi.N)) for v in range(lo, hi)]
             assert weigh(lo, hi).tolist() == want, (lo, hi)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    st.lists(st.integers(0, 10**40), min_size=1, max_size=200),
+    st.sampled_from(("general", "chain", "oracle")),
+    st.integers(2, 101),
+    st.integers(1, 101),
+)
+def test_table_to_json_writes_the_indented_encoder_bytes(counts, method, q, N):
+    table = pb.DistributionTable(
+        q=q, N=N, n=0, max_weight=len(counts) - 1, counts=tuple(counts), method=method
+    )
+    assert pb.table_to_json(table) == json.dumps(pb.table_to_json_dict(table), indent=2)
+    volumes = [{"r": r, "volume": str(v)} for r, v in enumerate(accumulate(counts))]
+    want = {"q": q, "N": N, "method": method, "volumes": volumes}
+    assert pb.table_to_json(table, "volume", accumulate(counts)) == json.dumps(want, indent=2)
