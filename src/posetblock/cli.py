@@ -48,11 +48,12 @@ def _auto_threads(value: str) -> int:
 
 
 def _threads_flag(value: str) -> str:
-    """The raw --threads string, once _auto_threads can read it."""
-    try:
-        _auto_threads(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not auto or an integer: {value!r}") from None
+    """The raw --threads string, once it reads auto or an integer."""
+    if value != "auto":
+        try:
+            int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not auto or an integer: {value!r}") from None
     return value
 
 
@@ -79,9 +80,10 @@ def _caps(cfg: InstanceConfig, args) -> tuple:
     )
 
 
-def _compute_table(cfg: InstanceConfig, method: str, threads: int, args):
+def _compute_table(cfg: InstanceConfig, method: str, args):
     ideal_cap, space_cap = _caps(cfg, args)
-    if method == "oracle":
+    if method == "oracle":  # the only reader of --threads
+        threads = _auto_threads(args.threads)
         res = oracle_distribution(
             cfg.poset, cfg.pi, cfg.weight, cap=space_cap, threads=threads
         )
@@ -92,7 +94,7 @@ def _compute_table(cfg: InstanceConfig, method: str, threads: int, args):
 
 
 def cmd_distribution(cfg: InstanceConfig, args) -> int:
-    table = _compute_table(cfg, args.method, _auto_threads(args.threads), args)
+    table = _compute_table(cfg, args.method, args)
     if args.format == "csv":
         sys.stdout.write(table_to_csv(table))
     else:
@@ -101,7 +103,7 @@ def cmd_distribution(cfg: InstanceConfig, args) -> int:
 
 
 def cmd_ball(cfg: InstanceConfig, args) -> int:
-    table = _compute_table(cfg, args.method, _auto_threads(args.threads), args)
+    table = _compute_table(cfg, args.method, args)
     if args.radius is None:
         sys.stdout.write(table_to_json(table, "volume", accumulate(table.counts)) + "\n")
     else:
@@ -148,11 +150,10 @@ def cmd_check_code(cfg: InstanceConfig, args) -> int:
 
 
 def cmd_oracle_compare(cfg: InstanceConfig, args) -> int:
-    threads = _auto_threads(args.threads)
-    oracle_table = _compute_table(cfg, "oracle", threads, args)
+    oracle_table = _compute_table(cfg, "oracle", args)
     tables = {"oracle": oracle_table}
     for method in applicable_methods(cfg.poset, cfg.pi):
-        tables[method] = _compute_table(cfg, method, threads, args)
+        tables[method] = _compute_table(cfg, method, args)
     reference = oracle_table.counts
     diffs = []
     for method, table in tables.items():

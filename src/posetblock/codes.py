@@ -39,13 +39,13 @@ from .poset import (
     _bits,
     _sole_ideal,
     chain_order,
-    classify,
     dual_poset,
     fold_ideals,
     ideal_closure,
+    is_chain,
 )
 from .space import LabelMap, pi_support, vector_sub
-from .weights import WeightModel, block_class_size, hamming_weight
+from .weights import WeightModel, block_class_size, hamming_weight, metric_fault
 
 CODEWORD_CAP_DEFAULT = 10**6
 
@@ -61,10 +61,9 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def _rref(rows: list[list[int]], q: int, n_cols: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over F_q; returns (rows without zeros, pivot cols)."""
+def _rref(rows: list[list[int]], q: int, n_cols: int) -> list[list[int]]:
+    """Reduced row echelon form over F_q, without zero rows."""
     rows = [[v % q for v in r] for r in rows]
-    pivots: list[int] = []
     r = 0
     for col in range(n_cols):
         piv = next((rr for rr in range(r, len(rows)) if rows[rr][col]), None)
@@ -77,11 +76,10 @@ def _rref(rows: list[list[int]], q: int, n_cols: int) -> tuple[list[list[int]], 
             if rr != r and rows[rr][col]:
                 f = rows[rr][col]
                 rows[rr] = [(a - f * b) % q for a, b in zip(rows[rr], rows[r])]
-        pivots.append(col)
         r += 1
         if r == len(rows):
             break
-    return rows[:r], pivots
+    return rows[:r]
 
 
 @dataclass(frozen=True)
@@ -99,6 +97,11 @@ class LinearCode:
     @property
     def size(self) -> int:
         return self.q**self.k
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        """The first nonzero column of each stored row: the RREF's pivots."""
+        return tuple(next(c for c, v in enumerate(row) if v) for row in self.generator)
 
     def to_json_dict(self) -> dict:
         return {"q": self.q, "generator": [list(r) for r in self.generator]}
@@ -119,7 +122,7 @@ def linear_code(q: int, rows, n_cols: int | None = None) -> LinearCode:
         n_cols = width
     elif n_cols is None:
         raise DimensionError("empty generator needs an explicit n_cols")
-    reduced, _ = _rref(rows, q, n_cols)
+    reduced = _rref(rows, q, n_cols)
     return LinearCode(q=q, n_cols=n_cols, generator=tuple(tuple(r) for r in reduced))
 
 
@@ -178,7 +181,7 @@ def _packs(C: LinearCode, pi: LabelMap, mask: int) -> bool:
         if not (mask >> i) & 1
         for c in range(pi.N)[pi.block_slice(i + 1)]
     ]
-    reduced, _ = _rref([[row[c] for c in cols] for row in C.generator], C.q, len(cols))
+    reduced = _rref([[row[c] for c in cols] for row in C.generator], C.q, len(cols))
     return len(reduced) == C.k
 
 
@@ -212,9 +215,9 @@ def is_r_perfect(
     False with no coset count.  Otherwise the verdict is the oracle's exact
     per-coset count, cross-checked against the volume/min-distance
     arithmetic.  Beyond the cap the sufficient pair (volume equality + min
-    distance > 2r) is used, and an instance it cannot certify raises
-    ExplosionError.  By translation invariance the least pairwise distance
-    is min_distance, the least nonzero codeword weight.
+    distance > 2r, for a metric W only) is used, and an instance it cannot
+    certify raises ExplosionError.  By translation invariance the least
+    pairwise distance is min_distance, the least nonzero codeword weight.
     """
     if r < 0 or r > pi.n * W.M_w:
         raise BoundsError(f"radius {r} outside [0, {pi.n * W.M_w}]")
@@ -231,18 +234,24 @@ def is_r_perfect(
         if exact and not volume_ok:
             raise ConsistencyError("sweep says perfect but volumes do not fill")
         if not exact and volume_ok and C.k > 0:
-            if min_distance(C, P, pi, W, cap=codeword_cap) > 2 * r:
+            if _distance_certifies(C, r, P, pi, W, codeword_cap):
                 raise ConsistencyError(
                     "volume + distance certify perfect but sweep disagrees"
                 )
         return exact
     if not volume_ok:
         return False
-    if C.k == 0 or min_distance(C, P, pi, W, cap=codeword_cap) > 2 * r:
+    if C.k == 0 or _distance_certifies(C, r, P, pi, W, codeword_cap):
         return True
     raise ExplosionError(
         "space over cap and the distance criterion cannot certify perfectness"
     )
+
+
+def _distance_certifies(C, r, P, pi, W, codeword_cap) -> bool:
+    """Whether min distance > 2r proves the r-balls disjoint, which takes
+    the triangle inequality: only for a symmetric, subadditive W."""
+    return metric_fault(W) is None and min_distance(C, P, pi, W, cap=codeword_cap) > 2 * r
 
 
 def is_r_error_correcting(
@@ -259,7 +268,8 @@ def is_r_error_correcting(
 
     Within the space cap: False by pigeonhole when the oracle's brute-force
     |B_r(0)| times |C| exceeds q^N, else the oracle's exact per-coset
-    count.  Beyond it, True when min distance > 2r, else ExplosionError.
+    count.  Beyond it, True when W is a metric and min distance > 2r, else
+    ExplosionError.
     """
     if r < 0:
         raise BoundsError(f"radius {r} < 0")
@@ -268,7 +278,7 @@ def is_r_error_correcting(
     if C.q**pi.N <= space_cap(cap):
         _, res = _r_ball_perfectness(C, P, pi, W, r, cap=cap)
         return res is not None and res.disjoint
-    if min_distance(C, P, pi, W, cap=codeword_cap) > 2 * r:
+    if _distance_certifies(C, r, P, pi, W, codeword_cap):
         return True
     raise ExplosionError(
         "space over cap and the distance criterion cannot certify disjointness"
@@ -359,15 +369,14 @@ def dual_code(C: LinearCode) -> LinearCode:
     """Null space of the generator under the standard inner product."""
     if not _is_prime(C.q):
         raise NonPrimeError(f"alphabet size {C.q} is not prime")
-    q, n = C.q, C.n_cols
-    rows, pivots = _rref([list(r) for r in C.generator], q, n)
+    q, n, pivots = C.q, C.n_cols, C.pivots
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for f in free:
         vec = [0] * n
         vec[f] = 1
-        for r_idx, p in enumerate(pivots):
-            vec[p] = (-rows[r_idx][f]) % q
+        for row, p in zip(C.generator, pivots):
+            vec[p] = (-row[f]) % q
         basis.append(vec)
     return linear_code(q, basis, n_cols=n)
 
@@ -487,7 +496,7 @@ def mds_chain_distribution(
 
 
 def _check_mds_chain(C, P, pi, W):
-    if not classify(P).is_chain:
+    if not is_chain(P):
         raise PreconditionError("poset is not a chain")
     s = _equal_block_size(pi)
     if C.k % s != 0:

@@ -76,6 +76,8 @@ def parse_config(obj: dict) -> InstanceConfig:
                     raise ConfigError(f"ideal element {v} outside [1, {poset.n}]")
         caps = dict(obj.get("caps", {}))
         for key, value in caps.items():
+            if key not in ("ideals", "space"):
+                raise ConfigError(f"unknown cap {key!r}; the caps are ideals, space")
             if value is not None:  # null means unset
                 _int(value, f"cap {key!r}")
         method = obj.get("method")

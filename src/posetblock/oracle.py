@@ -2,16 +2,17 @@
 
 Vectors are indexed in odometer order (last coordinate fastest) and
 processed in chunks of at most 2^18 indices.  The weight histogram sweeps
-every index in [0, q^N).  Per-block weight lookup tables are built by
-brute enumeration of each block's q^k_i values; a vector's weight is then
-computed from its block-weight profile by the definitional closure/maximals
-rule.  One kernel does this weighing for every sweep.  A vector's profile
-key is a sum of per-block terms, and the trailing blocks run fastest, so
-the terms of the longest suffix of blocks that fits a chunk are summed
-once into an outer-sum array, and a range's keys add that array to the
-key of each leading index it meets; every vector is still weighed through
-its own key.  Nothing here touches the ideal/partition counting machinery,
-so agreement with the closed forms is a real theorem check.
+every index in [0, q^N).  Block weights are ranked on one scale, the
+distinct symbol weights, by brute enumeration of each block's q^k_i
+values; a vector's weight is then computed from its block-weight profile
+by the definitional closure/maximals rule.  One kernel does this weighing
+for every sweep.  A vector's profile key is a sum of per-block terms, and
+the trailing blocks run fastest, so the terms of the longest suffix of
+blocks that fits a chunk are summed once into an outer-sum array, and a
+range's keys add that array to the key of each leading index it meets;
+every vector is still weighed through its own key.  Nothing here touches
+the ideal counting machinery or the code module, so agreement with the
+closed forms is a real theorem check.
 
 Perfectness verdicts count per coset instead of per codeword, using only
 the linearity of the code: r-balls and I-balls are both translates of a
@@ -20,7 +21,8 @@ vectors in its coset.  The ball around 0 is enumerated when it holds at
 most half the space: the I-ball is one box, a product of block codes, and
 the r-ball is a union of boxes, one per block-weight profile of weight
 <= r in the kernel's profile table.  Otherwise it is marked in one sweep
-of the space.  Either way its vectors are keyed by coset representative.
+of the space.  Either way its vectors are keyed by coset representative,
+read off the code's stored echelon form.
 """
 
 from __future__ import annotations
@@ -112,22 +114,24 @@ def _fingerprint(P: Poset, pi: LabelMap, W: WeightModel) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _block_weight_tables(pi: LabelMap, W: WeightModel) -> list[np.ndarray]:
-    """For each block, the weight of every one of its q^k_i values.
-
-    Built by literal enumeration: split the block code into base-q digits
-    and take the max symbol weight.
+def _rank_tables(pi: LabelMap, W: WeightModel) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(levels, ranks): the distinct symbol weights in ascending order, and
+    for each block the rank in levels of the weight of each of its q^k_i
+    values, by literal enumeration: the largest rank among the block code's
+    base-q digits.  A block of k >= 1 symbols attains every symbol weight,
+    so levels is the one scale of every block.
     """
-    wtab = np.array(W.table, dtype=np.int64)
+    levels = np.unique(W.table)
+    symbol_rank = np.searchsorted(levels, W.table)
     out = []
     for k in pi.k:
         codes = np.arange(W.q**k, dtype=np.int64)
-        bw = np.zeros(W.q**k, dtype=np.int64)
+        rank = np.zeros(W.q**k, dtype=np.int64)
         for t in range(k):
             digit = (codes // (W.q ** (k - 1 - t))) % W.q
-            np.maximum(bw, wtab[digit], out=bw)
-        out.append(bw)
-    return out
+            np.maximum(rank, symbol_rank[digit], out=rank)
+        out.append(rank)
+    return levels, out
 
 
 def _order_matrices(P: Poset) -> tuple[np.ndarray, np.ndarray]:
@@ -157,10 +161,7 @@ def _weights_from_block_weights(
 def _index_places(pi: LabelMap, q: int) -> tuple[list[int], list[int]]:
     """Per-block radix q^k_i and positional factor in the odometer index."""
     sizes = [q**k for k in pi.k]
-    places = [1] * pi.n
-    for i in range(pi.n - 2, -1, -1):
-        places[i] = places[i + 1] * sizes[i + 1]
-    return sizes, places
+    return sizes, [q ** (pi.N - o - k) for o, k in zip(pi.offsets, pi.k)]
 
 
 def _ranges(total: int) -> list[tuple[int, int]]:
@@ -180,20 +181,18 @@ class _Kernel(NamedTuple):
     """The one weight kernel, built by _weigher.
 
     weigh(lo, hi) gives the weights of the vectors with index in [lo, hi).
-    A vector's profile is its tuple of block weights, keyed as the sum over
-    blocks of key_tables[i][code_i] = rank * key_places[i], where rank is
-    the rank of the block code's weight among the radices[i] weights block
-    i attains.  table holds the weight of every profile key when there are
-    at most a chunk of them, else None.  The keys of a range are sums of a
-    leading part and a trailing part (see _weigher); the trailing part is
-    built on the first weigh call, so a kernel read only for its table
-    costs no sweep set-up.
+    A vector's profile is its tuple of block weights, keyed as the number
+    whose base-radix digits are the blocks' ranks[i][code_i], block 0 most
+    significant; radix is the number of distinct symbol weights.  table
+    holds the weight of every profile key when there are at most a chunk
+    of them, else None.  The keys of a range are sums of a leading part and
+    a trailing part (see _weigher); the trailing part is built on the first
+    weigh call, so a kernel read only for its table costs no sweep set-up.
     """
 
     weigh: Callable[[int, int], np.ndarray]
-    key_tables: list
-    radices: list
-    key_places: list
+    ranks: list
+    radix: int
     table: np.ndarray | None
 
 
@@ -223,19 +222,12 @@ def _weigher(P: Poset, pi: LabelMap, W: WeightModel) -> _Kernel:
     rows of head[:, None] + tail for the leading indices it meets, sliced
     to the range, so only those (hi - lo) / span indices are divided.
     """
-    bw_tables = _block_weight_tables(pi, W)
+    levels, ranks = _rank_tables(pi, W)
     sizes, places = _index_places(pi, W.q)
-    # rank-compress block weights so profile keys fit comfortably in int64;
+    radix = len(levels)
+    key_places = [radix ** (pi.n - 1 - i) for i in range(pi.n)]
     # key_tables[i] maps a block code straight to its term of the key
-    attained = [np.unique(bw) for bw in bw_tables]
-    radices = [len(att) for att in attained]
-    key_places = [1] * pi.n
-    for i in range(pi.n - 2, -1, -1):
-        key_places[i] = key_places[i + 1] * radices[i + 1]
-    key_tables = [
-        np.searchsorted(att, bw).astype(np.int64) * kp
-        for att, bw, kp in zip(attained, bw_tables, key_places)
-    ]
+    key_tables = [rank * kp for rank, kp in zip(ranks, key_places)]
     leq, strict = _order_matrices(P)
 
     built: list[tuple[int, np.ndarray]] = []  # (suffix start, tail), on first use
@@ -260,23 +252,23 @@ def _weigher(P: Poset, pi: LabelMap, W: WeightModel) -> _Kernel:
     def profile_weights(keys: np.ndarray) -> np.ndarray:
         wmat = np.empty((len(keys), pi.n), dtype=np.int64)
         for i in range(pi.n):
-            wmat[:, i] = attained[i][(keys // key_places[i]) % radices[i]]
+            wmat[:, i] = levels[keys // key_places[i] % radix]
         return _weights_from_block_weights(leq, strict, W.M_w, wmat)
 
-    n_profiles = key_places[0] * radices[0]
+    n_profiles = radix**pi.n
     if n_profiles <= _CHUNK:
         table = profile_weights(np.arange(n_profiles, dtype=np.int64))
 
         def weigh_by_table(lo: int, hi: int) -> np.ndarray:
             return table[profiles(lo, hi)]
 
-        return _Kernel(weigh_by_table, key_tables, radices, key_places, table)
+        return _Kernel(weigh_by_table, ranks, radix, table)
 
     def weigh(lo: int, hi: int) -> np.ndarray:
         ukeys, inverse = np.unique(profiles(lo, hi), return_inverse=True)
         return profile_weights(ukeys)[inverse]
 
-    return _Kernel(weigh, key_tables, radices, key_places, None)
+    return _Kernel(weigh, ranks, radix, None)
 
 
 def oracle_distribution(
@@ -386,12 +378,11 @@ def _ball(
     size = None
     if kernel.table is not None:
         keys = np.flatnonzero(kernel.table <= radius)
+        radix = kernel.radix
+        key_places = [radix ** (pi.n - 1 - i) for i in range(pi.n)]
         groups = []
         box_sizes = np.ones(len(keys), dtype=np.int64)
-        for key_table, radix, kp in zip(
-            kernel.key_tables, kernel.radices, kernel.key_places
-        ):
-            rank = key_table // kp
+        for rank, kp in zip(kernel.ranks, key_places):
             starts = np.zeros(radix + 1, dtype=np.int64)
             np.cumsum(np.bincount(rank, minlength=radix), out=starts[1:])
             groups.append((np.argsort(rank, kind="stable"), starts))
@@ -399,7 +390,7 @@ def _ball(
             box_sizes *= starts[group + 1] - starts[group]
         size = int(box_sizes.sum())
         if 2 * size <= total:
-            return size, _box_chunks(keys, box_sizes, kernel.key_places, groups, places)
+            return size, _box_chunks(keys, box_sizes, key_places, groups, places)
     return size, (
         lo + np.flatnonzero(kernel.weigh(lo, hi) <= radius) for lo, hi in _ranges(total)
     )
@@ -431,13 +422,12 @@ def _coset_ball_counts(code, chunks, q: int, N: int) -> tuple[int, int, int]:
     vector exactly once.
 
     A ball vector u is keyed by the representative of u + C that is zero on
-    the pivot columns of the reduced generator G: u - u[pivots] G, read as a
-    base-q number over the free columns.  Each chunk takes each pivot digit
-    it needs once, and each free column's symbol is reduced mod q once.
+    the pivot columns of the code's stored reduced generator G:
+    u - u[pivots] G, read as a base-q number over the free columns.  Each
+    chunk takes each pivot digit it needs once, and each free column's
+    symbol is reduced mod q once.
     """
-    from .codes import _rref
-
-    G, pivots = _rref([list(r) for r in code.generator], q, N)
+    G, pivots = code.generator, code.pivots
     place = [q ** (N - 1 - c) for c in range(N)]
     if not pivots:
         # the zero code: each coset is one vector, 0 among the ball vectors

@@ -35,11 +35,6 @@ class WeightModel:
             return 0
         return sum(self.class_sizes[: r + 1])
 
-    def to_json(self):
-        if self.name in ("lee", "hamming"):
-            return self.name
-        return {"table": list(self.table)}
-
 
 def _derive(q: int, table: Sequence[int], name: str) -> WeightModel:
     table = tuple(int(v) for v in table)
@@ -73,28 +68,28 @@ def hamming_weight(q: int) -> WeightModel:
     return _derive(q, [0] + [1] * (q - 1), "hamming")
 
 
+def metric_fault(W: WeightModel) -> str | None:
+    """Why the distance W induces may not be a metric, or None when w is
+    symmetric and subadditive, so that it is one."""
+    q, w = W.q, W.table
+    if any(w[a] != w[q - a] for a in range(1, q)):
+        return (
+            "weight table is not symmetric (w(a) != w(q-a)); the induced "
+            "distance may not be symmetric"
+        )
+    if any(w[(a + b) % q] > w[a] + w[b] for a in range(q) for b in range(q)):
+        return "weight table is not subadditive; the triangle inequality may fail"
+    return None
+
+
 def custom_weight(q: int, table: Sequence[int]) -> WeightModel:
     """Weight from an explicit table; warns if symmetry or subadditivity fail."""
     if q < 2:
         raise BoundsError(f"alphabet size {q} < 2")
     W = _derive(q, table, "custom")
-    if any(W.table[a] != W.table[q - a] for a in range(1, q)):
-        warnings.warn(
-            "weight table is not symmetric (w(a) != w(q-a)); the induced "
-            "distance may not be symmetric",
-            WeightWarning,
-            stacklevel=2,
-        )
-    elif any(
-        W.table[(a + b) % q] > W.table[a] + W.table[b]
-        for a in range(q)
-        for b in range(q)
-    ):
-        warnings.warn(
-            "weight table is not subadditive; the triangle inequality may fail",
-            WeightWarning,
-            stacklevel=2,
-        )
+    fault = metric_fault(W)
+    if fault is not None:
+        warnings.warn(fault, WeightWarning, stacklevel=2)
     return W
 
 

@@ -502,6 +502,31 @@ def test_config_numbers_must_be_integers(tmp_path, capsys):
     assert code == 0 and json.loads(out)["counts"][3]["count"] == "35384"
 
 
+def test_unknown_cap_key_exits_2(tmp_path, capsys):
+    # a misspelt key ("ideal" for "ideals") must not leave the default cap in force
+    cfg = {"q": 7, "poset": dict(zip(("n", "relations"), fence(12))), "pi": [1] * 12}
+    path = _write(tmp_path, dict(cfg, caps={"ideals": 0}))
+    assert run(capsys, "distribution", "--config", path)[0] == 3
+    path = _write(tmp_path, dict(cfg, caps={"ideal": 0}))
+    code, out, err = run(capsys, "distribution", "--config", path)
+    assert (code, out) == (2, "")
+    assert "'ideal'" in err and "ideals, space" in err
+    with pytest.raises(pb.ConfigError, match="'spaces'"):
+        parse_config(dict(cfg, caps={"spaces": None}))
+
+
+def test_threads_are_resolved_only_for_the_oracle(tmp_path, cfg45, capsys, monkeypatch):
+    # --threads auto asks for the core count only where the oracle runs
+    calls = []
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: calls.append(1) or 2)
+    for command in ("distribution", "ball"):
+        assert run(capsys, command, "--config", cfg45)[0] == 0
+    assert calls == []
+    path = _write(tmp_path, SMALL_GENERAL)
+    assert run(capsys, "oracle-compare", "--config", path)[0] == 0
+    assert len(calls) == 1
+
+
 def test_bad_threads_exits_2(cfg45, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["distribution", "--config", cfg45, "--threads", "abc"])

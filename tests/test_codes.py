@@ -198,6 +198,64 @@ def test_r_ball_verdicts_check_the_code_length(ex69):
             pb.is_r_error_correcting(short, r, P, pi, W)
 
 
+def test_distance_certifies_disjointness_only_for_a_metric_weight():
+    # symmetric with w(2) = 3 > 2 w(1), so not subadditive: the code's
+    # minimum distance 3 exceeds 2r at r = 1, yet u = (1, 1) lies within 1
+    # of both 0 and (1, 2)
+    with pytest.warns(pb.WeightWarning):
+        W = pb.custom_weight(5, [0, 1, 3, 3, 1])
+    assert "not subadditive" in pb.weights.metric_fault(W)
+    P, pi = chain(1), pb.label_map([2])
+    C = pb.linear_code(5, [[1, 2]])
+    assert pb.min_distance(C, P, pi, W) == 3
+    assert pb.pwpi_weight(P, pi, W, [1, 1]) == pb.pwpi_distance(P, pi, W, [1, 1], [1, 2]) == 1
+    assert not pb.is_r_error_correcting(C, 1, P, pi, W)
+    with pytest.raises(pb.ExplosionError, match="disjointness"):
+        pb.is_r_error_correcting(C, 1, P, pi, W, cap=10)
+    # the 0-balls of the whole space partition it, which only the sweep sees
+    full = pb.linear_code(5, [[1, 0], [0, 1]])
+    assert pb.is_r_perfect(full, 0, P, pi, W)
+    with pytest.raises(pb.ExplosionError, match="perfectness"):
+        pb.is_r_perfect(full, 0, P, pi, W, cap=10)
+    # within the cap the same certificate must raise no ConsistencyError:
+    # w(3 + 3) = 4 > 2 w(3), the volumes fill and d = 5 > 2r, yet the
+    # 2-balls overlap
+    with pytest.warns(pb.WeightWarning):
+        W = pb.custom_weight(7, [0, 4, 3, 1, 1, 3, 4])
+    P, pi = antichain(3), pb.label_map([1, 2, 1])
+    C = pb.linear_code(7, [[1, 0, 5, 5], [0, 1, 5, 1]])
+    assert pb.min_distance(C, P, pi, W) == 5
+    assert C.size * pb.ball_volume(pb.distribution(P, pi, W), 2) == 7**4
+    assert not pb.oracle_perfectness(C, P, pi, W, radius=2).disjoint
+    assert not pb.is_r_perfect(C, 2, P, pi, W)
+
+
+def test_past_the_space_cap_verdicts_agree_with_the_sweep():
+    # Hamming distance on F_2^3, with a cap of 4 < 2^3 forcing every
+    # past-cap branch; the verdict within the cap must agree wherever both
+    # answer
+    P, pi, W = antichain(3), pb.label_map([1, 1, 1]), pb.hamming_weight(2)
+    rep = pb.linear_code(2, [[1, 1, 1]])
+    pair = pb.linear_code(2, [[1, 1, 0]])
+    zero = pb.linear_code(2, [], n_cols=3)
+    cases = [  # (code, r, is_r_perfect and is_r_error_correcting past the cap)
+        (rep, 0, False, True),  # the volumes do not fill; d = 3 > 0
+        (rep, 1, True, True),  # certified: the volumes fill and d = 3 > 2
+        (pair, 1, None, None),  # the volumes fill, but d = 2 = 2r certifies nothing
+        (zero, 3, True, True),  # k = 0: the one ball is the whole space
+        (zero, 1, False, True),
+    ]
+    for C, r, perfect, correcting in cases:
+        for verdict, want in ((pb.is_r_perfect, perfect), (pb.is_r_error_correcting, correcting)):
+            inside = verdict(C, r, P, pi, W)
+            if want is None:
+                assert not inside
+                with pytest.raises(pb.ExplosionError):
+                    verdict(C, r, P, pi, W, cap=4)
+            else:
+                assert verdict(C, r, P, pi, W, cap=4) == inside == want, (C, r, verdict)
+
+
 def test_chain_mds_code_with_2401_codewords():
     # |C| = 7^4 on 7^8 under Lee weight: the 6-balls tile the space exactly
     P = chain(4)
@@ -381,6 +439,20 @@ def test_dual_code():
     zero = pb.linear_code(3, [], n_cols=4)
     assert pb.dual_code(zero).k == 4
     assert pb.dual_code(pb.dual_code(zero)) == zero
+
+
+def test_pivots_are_the_stored_echelon_pivots():
+    # the third row is the sum of the first two
+    C = pb.linear_code(5, [[0, 2, 4, 1, 0], [0, 1, 2, 3, 1], [0, 3, 1, 4, 1]])
+    assert C.generator == ((0, 1, 2, 3, 0), (0, 0, 0, 0, 1))
+    assert C.pivots == (1, 4)
+    assert pb.linear_code(3, [], n_cols=4).pivots == ()
+    # the dual reads them: its generator spans the null space
+    D = pb.dual_code(C)
+    assert D.k == 3 and D.pivots == (0, 1, 2)
+    for g in C.generator:
+        for h in D.generator:
+            assert sum(a * b for a, b in zip(g, h)) % 5 == 0
 
 
 def test_construct_I_perfect(ex69):

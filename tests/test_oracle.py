@@ -90,6 +90,24 @@ def test_kernel_with_a_block_over_a_chunk():
     assert res.to_table().counts == pb.distribution_chain(P, pi, W).counts
 
 
+def test_kernel_ranks_every_block_on_one_scale():
+    # every block of k >= 1 symbols attains every symbol weight, so one
+    # radix, the number of distinct symbol weights, serves every block
+    P = pb.build_poset(3, [(1, 3)])
+    pi = pb.label_map([1, 3, 2])
+    for W in (pb.lee_weight(7), pb.custom_weight(5, [0, 3, 3, 3, 3])):
+        kernel = pb.oracle._weigher(P, pi, W)
+        levels = sorted(set(W.table))
+        assert kernel.radix == len(levels)
+        assert len(kernel.table) == kernel.radix**pi.n
+        for k, rank in zip(pi.k, kernel.ranks):
+            want = [
+                max(W.table[code // W.q**t % W.q] for t in range(k))
+                for code in range(W.q**k)
+            ]
+            assert [levels[r] for r in rank.tolist()] == want
+
+
 def test_small_chunks_give_the_same_answers(monkeypatch):
     # 64-vector chunks: many ranges, more profiles than a chunk, so the
     # kernel weighs each range's distinct profiles instead of a whole table,

@@ -54,6 +54,17 @@ def test_custom_weight_warnings():
         pb.custom_weight(5, [0, 1, 5, 5, 1])  # w(1+1) > 2 w(1)
 
 
+def test_metric_fault():
+    fault = pb.weights.metric_fault
+    assert fault(pb.lee_weight(7)) is None
+    assert fault(pb.hamming_weight(5)) is None
+    assert fault(pb.custom_weight(7, [0] + [3] * 6)) is None
+    with pytest.warns(pb.WeightWarning):
+        assert "not symmetric" in fault(pb.custom_weight(5, [0, 1, 2, 2, 3]))
+    with pytest.warns(pb.WeightWarning):
+        assert "not subadditive" in fault(pb.custom_weight(5, [0, 1, 5, 5, 1]))
+
+
 def test_block_class_sizes_q7_lee_reference():
     W = pb.lee_weight(7)
     expected = {
