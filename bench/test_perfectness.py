@@ -24,12 +24,15 @@ import posetblock as pb
 ROUNDS = 3
 
 
-def _chain_ball(radius: int):
+def _chain():
     """The 2401-word chain-MDS code on Z_7^8 (4-chain, blocks of 2, Lee)."""
     P = pb.build_poset(4, [(1, 2), (2, 3), (3, 4)])
     pi = pb.label_map([2, 2, 2, 2])
-    C = pb.chain_mds_code(P, pi, 7, 4)
-    W = pb.lee_weight(7)
+    return pb.chain_mds_code(P, pi, 7, 4), P, pi, pb.lee_weight(7)
+
+
+def _chain_ball(radius: int):
+    C, P, pi, W = _chain()
     return lambda: pb.oracle_perfectness(C, P, pi, W, radius=radius)
 
 
@@ -40,9 +43,11 @@ def _ex69():
     return C, P, pi, pb.lee_weight(7)
 
 
-def _ex69_r12_verdict():
-    C, P, pi, W = _ex69()
-    return lambda: pb.is_r_perfect(C, 12, P, pi, W)
+def _verdict(code, verdict: str, radius: int):
+    """A public r-ball verdict: at r = 12 on ex69 both answer by pigeonhole;
+    the chain code's 3-balls are disjoint and its 6-balls tile Z_7^8."""
+    C, P, pi, W = code()
+    return lambda: getattr(pb, verdict)(C, radius, P, pi, W)
 
 
 def _ex69_whole_poset_ball():
@@ -64,7 +69,14 @@ def _antichain20_ball(radius: int):
 RUNGS = {
     "chain_r3": lambda: _chain_ball(3),
     "chain_r12": lambda: _chain_ball(12),
-    "ex69_is_r_perfect_r12": _ex69_r12_verdict,
+    "ex69_is_r_perfect_r3": lambda: _verdict(_ex69, "is_r_perfect", 3),
+    "ex69_is_r_error_correcting_r3": lambda: _verdict(_ex69, "is_r_error_correcting", 3),
+    "ex69_is_r_perfect_r12": lambda: _verdict(_ex69, "is_r_perfect", 12),
+    "ex69_is_r_error_correcting_r12": lambda: _verdict(_ex69, "is_r_error_correcting", 12),
+    "chain_is_r_perfect_r3": lambda: _verdict(_chain, "is_r_perfect", 3),
+    "chain_is_r_error_correcting_r3": lambda: _verdict(_chain, "is_r_error_correcting", 3),
+    "chain_is_r_perfect_r6": lambda: _verdict(_chain, "is_r_perfect", 6),
+    "chain_is_r_error_correcting_r6": lambda: _verdict(_chain, "is_r_error_correcting", 6),
     "ex69_whole_poset_i_ball": _ex69_whole_poset_ball,
     "antichain20_r3": lambda: _antichain20_ball(3),
     "antichain20_r20": lambda: _antichain20_ball(20),

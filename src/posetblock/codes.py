@@ -1,17 +1,20 @@
 """Linear codes over F_q (q prime) in a (P,w,pi)-space.
 
-The generator is kept in reduced row-echelon form.  Every I-ball verdict
-is a rank test over F_q: C meets B_I(0) only in 0 exactly when the
-generator's columns on the blocks outside I have rank k.  An r-ball
-verdict is False by pigeonhole when |C| * |B_r(0)| > q^N, with |B_r(0)|
-counted by the oracle, and else the oracle's per-coset count.  Only
-`codewords` and minimum distances enumerate the q^k codewords, under a
-cap.  The module covers I-balls, I-perfect / r-perfect /
-r-error-correcting checks, the Singleton bound and MDS status in both
-the weighted and the Hamming-specialized metric, dual codes, the
-four-way duality equivalence under a unique ideal, the transversal
-I-perfect construction, and the closed-form weight distribution of MDS
-chain codes.
+The generator is kept in reduced row-echelon form.  A code is perfect
+when its balls pack (are pairwise disjoint) and fill the space by volume,
+|C| * |B| = q^N.  For an I-ball the fill is the sum of k_i over I being
+N - k, and packing a rank test over F_q: C meets B_I(0) only in 0 exactly
+when the generator's columns on the blocks outside I have rank k.  For
+an r-ball the fill takes the closed-form volume, and packing is one
+decision shared with the r-error-correcting verdict: False by pigeonhole
+when |C| * |B_r(0)| > q^N, with |B_r(0)| counted by the oracle, and else
+the oracle's per-coset count.  Only `codewords` and minimum distances
+enumerate the q^k codewords, under a cap.  The module covers I-balls,
+I-perfect / r-perfect / r-error-correcting checks, the Singleton bound
+and MDS status in both the weighted and the Hamming-specialized metric,
+dual codes, the four-way duality equivalence under a unique ideal, the
+transversal I-perfect construction, and the closed-form weight
+distribution of MDS chain codes.
 """
 
 from __future__ import annotations
@@ -207,51 +210,14 @@ def is_r_perfect(
     cap: int | None = None,
     codeword_cap: int = CODEWORD_CAP_DEFAULT,
 ) -> bool:
-    """Whether the r-balls centered at codewords partition the space.
-
-    Within the space cap the oracle counts |B_r(0)| by brute force, and
-    that count must equal the closed form's ball volume.  When
-    |C| * |B_r(0)| > q^N the balls overlap by pigeonhole and the verdict is
-    False with no coset count.  Otherwise the verdict is the oracle's exact
-    per-coset count, cross-checked against the volume/min-distance
-    arithmetic.  Beyond the cap the sufficient pair (volume equality + min
-    distance > 2r, for a metric W only) is used, and an instance it cannot
-    certify raises ExplosionError.  By translation invariance the least
-    pairwise distance is min_distance, the least nonzero codeword weight.
-    """
+    """Whether the r-balls centered at codewords partition the space: they
+    are pairwise disjoint (`_r_balls_disjoint`) and fill it by volume,
+    |C| * |B_r(0)| = q^N, with |B_r(0)| the closed form's ball volume."""
     if r < 0 or r > pi.n * W.M_w:
         raise BoundsError(f"radius {r} outside [0, {pi.n * W.M_w}]")
-    table = distribution(P, pi, W)
-    volume = ball_volume(table, r)
-    volume_ok = C.size * volume == C.q**pi.N
-    if C.q**pi.N <= space_cap(cap):
-        size, res = _r_ball_perfectness(C, P, pi, W, r, cap=cap)
-        if size != volume:
-            raise ConsistencyError("oracle ball size differs from the ball volume")
-        if res is None:
-            return False
-        exact = res.disjoint and res.covering
-        if exact and not volume_ok:
-            raise ConsistencyError("sweep says perfect but volumes do not fill")
-        if not exact and volume_ok and C.k > 0:
-            if _distance_certifies(C, r, P, pi, W, codeword_cap):
-                raise ConsistencyError(
-                    "volume + distance certify perfect but sweep disagrees"
-                )
-        return exact
-    if not volume_ok:
-        return False
-    if C.k == 0 or _distance_certifies(C, r, P, pi, W, codeword_cap):
-        return True
-    raise ExplosionError(
-        "space over cap and the distance criterion cannot certify perfectness"
-    )
-
-
-def _distance_certifies(C, r, P, pi, W, codeword_cap) -> bool:
-    """Whether min distance > 2r proves the r-balls disjoint, which takes
-    the triangle inequality: only for a symmetric, subadditive W."""
-    return metric_fault(W) is None and min_distance(C, P, pi, W, cap=codeword_cap) > 2 * r
+    volume = ball_volume(distribution(P, pi, W), r)
+    fills = C.size * volume == C.q**pi.N
+    return _r_balls_disjoint(C, r, P, pi, W, cap, codeword_cap, volume, fills) and fills
 
 
 def is_r_error_correcting(
@@ -264,25 +230,56 @@ def is_r_error_correcting(
     cap: int | None = None,
     codeword_cap: int = CODEWORD_CAP_DEFAULT,
 ) -> bool:
-    """Whether the r-balls centered at codewords are pairwise disjoint.
-
-    Within the space cap: False by pigeonhole when the oracle's brute-force
-    |B_r(0)| times |C| exceeds q^N, else the oracle's exact per-coset
-    count.  Beyond it, True when W is a metric and min distance > 2r, else
-    ExplosionError.
-    """
+    """Whether the r-balls centered at codewords are pairwise disjoint
+    (`_r_balls_disjoint`)."""
     if r < 0:
         raise BoundsError(f"radius {r} < 0")
-    if C.k == 0:
-        return True
-    if C.q**pi.N <= space_cap(cap):
-        _, res = _r_ball_perfectness(C, P, pi, W, r, cap=cap)
-        return res is not None and res.disjoint
-    if _distance_certifies(C, r, P, pi, W, codeword_cap):
-        return True
-    raise ExplosionError(
-        "space over cap and the distance criterion cannot certify disjointness"
-    )
+    return _r_balls_disjoint(C, r, P, pi, W, cap, codeword_cap)
+
+
+def _r_balls_disjoint(C, r, P, pi, W, cap, codeword_cap, volume=None, fills=True) -> bool:
+    """Whether the r-balls centered at codewords are pairwise disjoint.
+
+    Within the space cap the oracle decides: False by pigeonhole when its
+    brute-force |B_r(0)| times |C| exceeds q^N, else its exact per-coset
+    count.  Beyond the cap: True when k = 0 or when W is a metric with
+    minimum distance > 2r (by translation invariance the least pairwise
+    distance is the least nonzero codeword weight), else ExplosionError.
+
+    is_r_perfect passes the closed-form volume |B_r(0)| and whether it
+    fills, |C| * volume = q^N.  Beyond the cap, balls that do not fill
+    answer False before any certificate is sought: they are not perfect
+    whatever the answer.  Within it the volume checks the oracle: the ball
+    has that size, disjoint balls cover exactly when they fill, and balls
+    that fill with a distance certificate (sought within the codeword cap
+    only) are disjoint.
+    """
+    if C.q**pi.N > space_cap(cap):
+        if not fills:
+            return False
+        if C.k == 0 or _distance_certifies(C, r, P, pi, W, codeword_cap):
+            return True
+        raise ExplosionError(
+            "space over cap and the distance criterion cannot certify "
+            "disjointness, on which perfectness rests"
+        )
+    size, res = _r_ball_perfectness(C, P, pi, W, r, cap=cap)
+    disjoint = res is not None and res.disjoint  # None: overlap by pigeonhole
+    if volume is not None:
+        if size != volume:
+            raise ConsistencyError("oracle ball size differs from the ball volume")
+        if disjoint and res.covering != fills:
+            raise ConsistencyError("disjoint balls cover exactly when the volumes fill")
+        if fills and not disjoint and C.size <= codeword_cap:
+            if _distance_certifies(C, r, P, pi, W, codeword_cap):
+                raise ConsistencyError("volume + distance certify perfect, sweep disagrees")
+    return disjoint
+
+
+def _distance_certifies(C, r, P, pi, W, codeword_cap) -> bool:
+    """Whether min distance > 2r proves the r-balls disjoint, which takes
+    the triangle inequality: only for a symmetric, subadditive W."""
+    return metric_fault(W) is None and min_distance(C, P, pi, W, cap=codeword_cap) > 2 * r
 
 
 @dataclass(frozen=True)
@@ -460,9 +457,10 @@ def mds_chain_ball_counts(
     """|B(0, r) & C| for every radius r, for an MDS code on a chain.
 
     1 up to radius M_w*(n - k/s); beyond that, with r = t*M_w + l
-    (1 <= l <= M_w), the count is (|D_0^s| + ... + |D_l^s|) * q^(k - s(n-t)).
+    (1 <= l <= M_w), the count is (|D_0^s| + ... + |D_l^s|) * q^(k - s(n-t)),
+    whose sum telescopes to (|D_0| + ... + |D_l|)^s.
     """
-    s, t0, _ = _check_mds_chain(C, P, pi, W)
+    s, t0 = _check_mds_chain(C, P, pi, W)
     n, M_w, q = pi.n, W.M_w, W.q
     out = []
     for r in range(n * M_w + 1):
@@ -471,8 +469,7 @@ def mds_chain_ball_counts(
         else:
             t = (r + M_w - 1) // M_w - 1
             l = r - t * M_w
-            partial = sum(block_class_size(W, e, s) for e in range(l + 1))
-            out.append(partial * q ** (C.k - s * (n - t)))
+            out.append(W.prefix(l) ** s * q ** (C.k - s * (n - t)))
     return tuple(out)
 
 
@@ -485,7 +482,7 @@ def mds_chain_distribution(
     at r = t*M_w + l once r clears M_w*(n - k/s); zeros below the minimum
     distance fall out because |D_l| vanishes for l < m_w.
     """
-    s, t0, _ = _check_mds_chain(C, P, pi, W)
+    s, t0 = _check_mds_chain(C, P, pi, W)
     n, M_w, q = pi.n, W.M_w, W.q
     out = [0] * (n * M_w + 1)
     out[0] = 1
@@ -501,10 +498,9 @@ def _check_mds_chain(C, P, pi, W):
     s = _equal_block_size(pi)
     if C.k % s != 0:
         raise HypothesisError(f"block size {s} does not divide dimension {C.k}")
-    report = singleton_report(C, P, pi, W)
-    if not report.is_mds_pwpi:
+    if not singleton_report(C, P, pi, W).is_mds_pwpi:
         raise PreconditionError("code is not MDS in the weighted metric")
-    return s, pi.n - C.k // s, report
+    return s, pi.n - C.k // s
 
 
 def chain_mds_code(P: Poset, pi: LabelMap, q: int, dim: int) -> LinearCode:

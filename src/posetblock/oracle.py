@@ -47,6 +47,7 @@ SPACE_CAP_DEFAULT = 10**7
 SPACE_CAP_ENV = "POSETBLOCK_CAP_SPACE"
 _CHUNK = 1 << 18
 _INDEX_MAX = 2**63 - 1
+_WITNESSES = 20
 
 
 def space_cap(override: int | None = None) -> int:
@@ -522,10 +523,9 @@ def oracle_metric_axioms(
     W: WeightModel,
     samples: int,
     seed: int,
-    *,
-    witness_limit: int = 20,
 ) -> MetricAxiomReport:
-    """Seeded sampling of triples; reports identity/symmetry/triangle violations."""
+    """Seeded sampling of triples; reports identity/symmetry/triangle
+    violations, with the first _WITNESSES of them as witnesses."""
     if samples == 0:
         return MetricAxiomReport(samples=0, violation_count=0, witnesses=())
     rng = np.random.default_rng(seed)
@@ -552,7 +552,7 @@ def oracle_metric_axioms(
         ):
             hits = np.flatnonzero(bad)
             violation_count += len(hits)
-            for h in hits[: max(0, witness_limit - len(witnesses))]:
+            for h in hits[: max(0, _WITNESSES - len(witnesses))]:
                 witnesses.append(
                     MetricViolation(
                         kind=kind,

@@ -164,20 +164,15 @@ class PosetClass:
     levels: LevelDecomposition
 
 
-def build_poset(
-    n: int,
-    relations: Iterable[tuple[int, int]] = (),
-    *,
-    n_cap: int = N_CAP_DEFAULT,
-) -> Poset:
+def build_poset(n: int, relations: Iterable[tuple[int, int]] = ()) -> Poset:
     """Build the poset whose order is the reflexive-transitive closure of relations.
 
     relations contains 1-indexed (a, b) pairs meaning a <= b.  Raises
     CycleError if the closure is not antisymmetric, BoundsError for indices
-    outside [1, n] or n outside [1, n_cap].
+    outside [1, n] or n outside [1, N_CAP_DEFAULT].
     """
-    if not 1 <= n <= n_cap:
-        raise BoundsError(f"ground set size {n} outside [1, {n_cap}]")
+    if not 1 <= n <= N_CAP_DEFAULT:
+        raise BoundsError(f"ground set size {n} outside [1, {N_CAP_DEFAULT}]")
     up = [1 << i for i in range(n)]
     for a, b in relations:
         if not (1 <= a <= n and 1 <= b <= n):
@@ -201,10 +196,10 @@ def build_poset(
     return Poset(n=n, down=tuple(down), up=tuple(up))
 
 
-def poset_from_json(obj: dict, *, n_cap: int = N_CAP_DEFAULT) -> Poset:
+def poset_from_json(obj: dict) -> Poset:
     """Parse the {"n": ..., "relations": [[a, b], ...]} wire shape."""
     pairs = [(int(a), int(b)) for a, b in obj.get("relations", [])]
-    return build_poset(int(obj["n"]), pairs, n_cap=n_cap)
+    return build_poset(int(obj["n"]), pairs)
 
 
 def ideal_closure(P: Poset, S: Iterable[int]) -> Ideal:

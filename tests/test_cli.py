@@ -594,3 +594,30 @@ def test_reused_parser_keeps_no_state(cfg45, capsys):
     code, out, _ = run(capsys, "distribution", "--config", cfg45)
     assert code == 0 and out == fresh
     assert json.loads(out)["method"] == "general"
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("distribution", json.dumps(dict(EX45, q=1)), "must be at least 2"),
+        ("distribution", json.dumps(dict(EX45, poset={"n": 5, "relations": [[1, 2, 3]]})),
+         "malformed relation pair"),
+        ("distribution", json.dumps(dict(EX45, pi=[2, 3, 4, 2])), "pi lists 4 blocks"),
+        ("check-code", json.dumps(dict(EX69, code={"q": 5, "generator": [[1] * 8]})),
+         "differs from instance q"),
+        ("construct", json.dumps(dict(EX45, ideal=[1, 6])), "ideal element 6 outside [1, 5]"),
+        ("distribution", json.dumps(dict(EX45, format="xml")), "unknown format 'xml'"),
+        ("distribution", json.dumps({k: v for k, v in EX45.items() if k != "pi"}),
+         "missing config key: pi"),
+        ("distribution", "{not json", "is not valid JSON"),
+        ("distribution", json.dumps([EX45]), "must be a JSON object"),
+        ("check-code", json.dumps(EX45), "check-code needs a code"),
+        ("construct", json.dumps(EX45), "construct needs an ideal"),
+    ],
+)
+def test_config_errors_exit_2(tmp_path, capsys, command, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert (code, out) == (2, "")
+    assert message in err

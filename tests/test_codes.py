@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 
@@ -254,6 +255,52 @@ def test_past_the_space_cap_verdicts_agree_with_the_sweep():
                     verdict(C, r, P, pi, W, cap=4)
             else:
                 assert verdict(C, r, P, pi, W, cap=4) == inside == want, (C, r, verdict)
+
+
+def test_r_perfect_seeks_no_certificate_it_cannot_use():
+    # within the space cap the volumes fill (2 * 4 = 2^3) but d = 2 = 2r:
+    # the sweep says the 1-balls overlap, and the distance cross-check,
+    # which would enumerate more codewords than the cap, is not run
+    P, pi, W = antichain(3), pb.label_map([1, 1, 1]), pb.hamming_weight(2)
+    C = pb.linear_code(2, [[1, 1, 0]])
+    for codeword_cap in (1, pb.codes.CODEWORD_CAP_DEFAULT):
+        assert not pb.is_r_perfect(C, 1, P, pi, W, codeword_cap=codeword_cap)
+        assert not pb.is_r_error_correcting(C, 1, P, pi, W, codeword_cap=codeword_cap)
+    # past the space cap the 2-balls do not fill (2 * 7 > 2^3), so
+    # is_r_perfect answers before d = 2 fails to certify them; the
+    # disjointness verdict has no fill to test and raises
+    assert not pb.is_r_perfect(C, 2, P, pi, W, cap=4)
+    with pytest.raises(pb.ExplosionError, match="disjointness"):
+        pb.is_r_error_correcting(C, 2, P, pi, W, cap=4)
+
+
+def test_r_perfect_cross_checks_the_sweep(monkeypatch):
+    # the repetition code on F_2^3, Hamming: its 1-balls tile the space
+    # (fill, d = 3 > 2) and its 0-balls are disjoint but do not fill; a
+    # sweep doctored to contradict either raises, and only is_r_perfect,
+    # which has the volume, can tell
+    def doctored(**change):
+        def answer(*args, **kwargs):
+            size, result = count(*args, **kwargs)
+            return size, dataclasses.replace(result, **change)
+
+        return answer
+
+    P, pi, W = antichain(3), pb.label_map([1, 1, 1]), pb.hamming_weight(2)
+    C = pb.linear_code(2, [[1, 1, 1]])
+    count = pb.oracle._r_ball_perfectness
+    cases = [  # (r, doctored fields, the message)
+        (1, {"covering": False}, "cover exactly when the volumes fill"),
+        (0, {"covering": True}, "cover exactly when the volumes fill"),
+        (1, {"disjoint": False}, "distance certify"),
+    ]
+    for r, change, message in cases:
+        monkeypatch.setattr(pb.codes, "_r_ball_perfectness", doctored(**change))
+        with pytest.raises(pb.ConsistencyError, match=message):
+            pb.is_r_perfect(C, r, P, pi, W)
+        assert pb.is_r_error_correcting(C, r, P, pi, W) == change.get("disjoint", True)
+    # past the codeword cap no certificate is sought, and the last sweep stands
+    assert not pb.is_r_perfect(C, 1, P, pi, W, codeword_cap=1)
 
 
 def test_chain_mds_code_with_2401_codewords():

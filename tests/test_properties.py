@@ -337,6 +337,8 @@ def _check_perfectness(P, pi, W, C):
         size, result = pb.oracle._r_ball_perfectness(C, P, pi, W, r)
         assert size == pb.ball_volume(table, r) == len(ball)
         assert result == (None if C.size * size > q**pi.N else expected)
+        assert pb.is_r_perfect(C, r, P, pi, W) == (expected.disjoint and expected.covering)
+        assert pb.is_r_error_correcting(C, r, P, pi, W) == expected.disjoint
         # the counter sees each ball vector once, whichever way it was found
         assert _coset_counter_input(C, P, pi, W, radius=r) == (expected, ball), (C.k, r)
         if expected.disjoint and r % W.M_w == 0:

@@ -140,3 +140,17 @@ def test_dimension_errors(ex45):
         pb.pwpi_distance(P, pi, W, [0] * 13, [0] * 12)
     with pytest.raises(pb.DimensionError):
         pb.pwpi_weight(pb.build_poset(3, []), pi, W, [0] * 13)
+
+
+def test_block_vectors_are_read_on_their_own_label_map(ex45):
+    P, pi, W = ex45
+    x = [1, 0, 0, 0, 3, 0, 0, 0, 0, 2, 0, 0, 0]
+    v = pb.block_vector(pi, x)
+    assert pb.pi_support(pi, v) == pb.pi_support(pi, x) == (1, 2, 4)
+    assert pb.pwpi_weight(P, pi, W, v) == pb.pwpi_weight(P, pi, W, x)
+    # the same 13 entries cut into other blocks
+    other = pb.block_vector(pb.label_map([3, 2, 4, 2, 2]), x)
+    with pytest.raises(pb.DimensionError, match="different label map"):
+        pb.pi_support(pi, other)
+    with pytest.raises(pb.DimensionError, match="different label map"):
+        pb.pwpi_weight(P, pi, W, other)

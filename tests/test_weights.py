@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 import pytest
@@ -63,6 +64,34 @@ def test_metric_fault():
         assert "not symmetric" in fault(pb.custom_weight(5, [0, 1, 2, 2, 3]))
     with pytest.warns(pb.WeightWarning):
         assert "not subadditive" in fault(pb.custom_weight(5, [0, 1, 5, 5, 1]))
+
+
+def test_metric_fault_matches_the_definition():
+    # the array test against the axioms read pair by pair, on seeded tables
+    # drawn symmetric two times in three, so that every verdict occurs
+    def by_definition(W):
+        q, w = W.q, W.table
+        if any(w[a] != w[q - a] for a in range(1, q)):
+            return "not symmetric"
+        if any(w[(a + b) % q] > w[a] + w[b] for a in range(q) for b in range(q)):
+            return "not subadditive"
+        return None
+
+    rng = random.Random(14)
+    seen = set()
+    for _ in range(600):
+        q = rng.choice((2, 3, 4, 5, 7, 11, 31))
+        half = [rng.randint(1, 4) for _ in range(q // 2)]
+        if rng.random() < 2 / 3:
+            table = [0] + half + half[: (q - 1) // 2][::-1]
+        else:
+            table = [0] + [rng.randint(1, 4) for _ in range(q - 1)]
+        W = pb.weights._derive(q, table, "custom")  # no warning
+        fault, want = pb.weights.metric_fault(W), by_definition(W)
+        assert (fault is None) == (want is None), table
+        assert want is None or want in fault, table
+        seen.add(want)
+    assert seen == {None, "not symmetric", "not subadditive"}
 
 
 def test_block_class_sizes_q7_lee_reference():
