@@ -212,12 +212,31 @@ def is_r_perfect(
 ) -> bool:
     """Whether the r-balls centered at codewords partition the space: they
     are pairwise disjoint (`_r_balls_disjoint`) and fill it by volume,
-    |C| * |B_r(0)| = q^N, with |B_r(0)| the closed form's ball volume."""
+    |C| * |B_r(0)| = q^N, with |B_r(0)| the closed form's ball volume.
+
+    Beyond the space cap, balls that do not fill answer False before any
+    certificate is sought.  Within it the volume checks the oracle's sweep:
+    the ball has that size, disjoint balls cover exactly when they fill,
+    and balls that fill with a distance certificate (sought within the
+    codeword cap only) are disjoint.
+    """
     if r < 0 or r > pi.n * W.M_w:
         raise BoundsError(f"radius {r} outside [0, {pi.n * W.M_w}]")
     volume = ball_volume(distribution(P, pi, W), r)
     fills = C.size * volume == C.q**pi.N
-    return _r_balls_disjoint(C, r, P, pi, W, cap, codeword_cap, volume, fills) and fills
+    if not fills and C.q**pi.N > space_cap(cap):
+        return False
+    disjoint, sweep = _r_balls_disjoint(C, r, P, pi, W, cap, codeword_cap)
+    if sweep is not None:
+        size, res = sweep
+        if size != volume:
+            raise ConsistencyError("oracle ball size differs from the ball volume")
+        if disjoint and res.covering != fills:
+            raise ConsistencyError("disjoint balls cover exactly when the volumes fill")
+        if fills and not disjoint and C.size <= codeword_cap:
+            if _distance_certifies(C, r, P, pi, W, codeword_cap):
+                raise ConsistencyError("volume + distance certify perfect, sweep disagrees")
+    return disjoint and fills
 
 
 def is_r_error_correcting(
@@ -231,49 +250,33 @@ def is_r_error_correcting(
     codeword_cap: int = CODEWORD_CAP_DEFAULT,
 ) -> bool:
     """Whether the r-balls centered at codewords are pairwise disjoint
-    (`_r_balls_disjoint`)."""
+    (`_r_balls_disjoint`); the zero code's one ball is."""
     if r < 0:
         raise BoundsError(f"radius {r} < 0")
-    return _r_balls_disjoint(C, r, P, pi, W, cap, codeword_cap)
+    return C.k == 0 or _r_balls_disjoint(C, r, P, pi, W, cap, codeword_cap)[0]
 
 
-def _r_balls_disjoint(C, r, P, pi, W, cap, codeword_cap, volume=None, fills=True) -> bool:
-    """Whether the r-balls centered at codewords are pairwise disjoint.
+def _r_balls_disjoint(C, r, P, pi, W, cap, codeword_cap):
+    """Whether the r-balls centered at codewords are pairwise disjoint, and
+    the oracle's sweep (|B_r(0)|, per-coset result) behind that answer, or
+    None beyond the space cap.
 
     Within the space cap the oracle decides: False by pigeonhole when its
     brute-force |B_r(0)| times |C| exceeds q^N, else its exact per-coset
     count.  Beyond the cap: True when k = 0 or when W is a metric with
     minimum distance > 2r (by translation invariance the least pairwise
     distance is the least nonzero codeword weight), else ExplosionError.
-
-    is_r_perfect passes the closed-form volume |B_r(0)| and whether it
-    fills, |C| * volume = q^N.  Beyond the cap, balls that do not fill
-    answer False before any certificate is sought: they are not perfect
-    whatever the answer.  Within it the volume checks the oracle: the ball
-    has that size, disjoint balls cover exactly when they fill, and balls
-    that fill with a distance certificate (sought within the codeword cap
-    only) are disjoint.
     """
     if C.q**pi.N > space_cap(cap):
-        if not fills:
-            return False
         if C.k == 0 or _distance_certifies(C, r, P, pi, W, codeword_cap):
-            return True
+            return True, None
         raise ExplosionError(
             "space over cap and the distance criterion cannot certify "
             "disjointness, on which perfectness rests"
         )
-    size, res = _r_ball_perfectness(C, P, pi, W, r, cap=cap)
-    disjoint = res is not None and res.disjoint  # None: overlap by pigeonhole
-    if volume is not None:
-        if size != volume:
-            raise ConsistencyError("oracle ball size differs from the ball volume")
-        if disjoint and res.covering != fills:
-            raise ConsistencyError("disjoint balls cover exactly when the volumes fill")
-        if fills and not disjoint and C.size <= codeword_cap:
-            if _distance_certifies(C, r, P, pi, W, codeword_cap):
-                raise ConsistencyError("volume + distance certify perfect, sweep disagrees")
-    return disjoint
+    sweep = _r_ball_perfectness(C, P, pi, W, r, cap=cap)
+    res = sweep[1]  # None: overlap by pigeonhole
+    return res is not None and res.disjoint, sweep
 
 
 def _distance_certifies(C, r, P, pi, W, codeword_cap) -> bool:

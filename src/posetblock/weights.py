@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
 from .errors import BoundsError, InvalidWeightError, WeightWarning
 
 
@@ -73,13 +71,13 @@ def hamming_weight(q: int) -> WeightModel:
 def metric_fault(W: WeightModel) -> str | None:
     """Why the distance W induces may not be a metric, or None when w is
     symmetric and subadditive, so that it is one."""
-    if W.table[1:] != W.table[:0:-1]:
+    q, w = W.q, W.table
+    if w[1:] != w[:0:-1]:
         return (
             "weight table is not symmetric (w(a) != w(q-a)); the induced "
             "distance may not be symmetric"
         )
-    w, a = np.array(W.table), np.arange(W.q)
-    if (w[(a[:, None] + a) % W.q] > w[:, None] + w).any():
+    if any(w[(a + b) % q] > w[a] + w[b] for a in range(q) for b in range(q)):
         return "weight table is not subadditive; the triangle inequality may fail"
     return None
 

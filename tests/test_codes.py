@@ -303,6 +303,17 @@ def test_r_perfect_cross_checks_the_sweep(monkeypatch):
     assert not pb.is_r_perfect(C, 1, P, pi, W, codeword_cap=1)
 
 
+def test_the_zero_code_corrects_errors_without_a_sweep(monkeypatch):
+    # the zero code has one ball, so no radius can make two overlap
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the oracle was asked")
+
+    monkeypatch.setattr(pb.codes, "_r_ball_perfectness", no_sweep)
+    P, pi, W = antichain(3), pb.label_map([1, 1, 1]), pb.hamming_weight(2)
+    C = pb.linear_code(2, [], n_cols=3)
+    assert all(pb.is_r_error_correcting(C, r, P, pi, W) for r in range(5))
+
+
 def test_chain_mds_code_with_2401_codewords():
     # |C| = 7^4 on 7^8 under Lee weight: the 6-balls tile the space exactly
     P = chain(4)

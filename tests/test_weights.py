@@ -67,7 +67,7 @@ def test_metric_fault():
 
 
 def test_metric_fault_matches_the_definition():
-    # the array test against the axioms read pair by pair, on seeded tables
+    # metric_fault against the axioms read pair by pair, on seeded tables
     # drawn symmetric two times in three, so that every verdict occurs
     def by_definition(W):
         q, w = W.q, W.table
