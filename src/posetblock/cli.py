@@ -61,35 +61,15 @@ def _emit(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _caps(cfg: InstanceConfig, args) -> tuple:
-    """(ideal cap, space cap): a CLI flag wins over the config's "caps".
-
-    0 is a cap like any other; a space cap of None leaves the oracle's
-    default (and its environment override) in force.
-    """
-
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        value = cfg.caps.get(key)
-        return default if value is None else value
-
-    return (
-        pick(args.cap_ideals, "ideals", IDEAL_CAP_DEFAULT),
-        pick(args.cap_space, "space", None),
-    )
-
-
 def _compute_table(cfg: InstanceConfig, method: str, args):
-    ideal_cap, space_cap = _caps(cfg, args)
     if method == "oracle":  # the only reader of --threads
         threads = _auto_threads(args.threads)
         res = oracle_distribution(
-            cfg.poset, cfg.pi, cfg.weight, cap=space_cap, threads=threads
+            cfg.poset, cfg.pi, cfg.weight, cap=args.cap_space, threads=threads
         )
         return res.to_table()
     return distribution(
-        cfg.poset, cfg.pi, cfg.weight, method=method, ideal_cap=ideal_cap
+        cfg.poset, cfg.pi, cfg.weight, method=method, ideal_cap=args.cap_ideals
     )
 
 
@@ -124,9 +104,8 @@ def cmd_check_code(cfg: InstanceConfig, args) -> int:
         raise ConfigError("check-code needs a code in the config")
     if cfg.code.k == 0:
         raise ConfigError("cannot analyze the zero code (k = 0)")
-    ideal_cap = _caps(cfg, args)[0]
     report = singleton_report(
-        cfg.code, cfg.poset, cfg.pi, cfg.weight, ideal_cap=ideal_cap
+        cfg.code, cfg.poset, cfg.pi, cfg.weight, ideal_cap=args.cap_ideals
     )
     payload = report.to_json_dict()
     payload["q"] = cfg.q
@@ -136,7 +115,7 @@ def cmd_check_code(cfg: InstanceConfig, args) -> int:
     # mask order; with equal blocks of size s these are the ideals of
     # cardinality n - k/s.  Only they are generated, under the ideal cap.
     P, verdicts = cfg.poset, []
-    for mask in ideals_with_sum(P, cfg.pi.k, cfg.pi.N - cfg.code.k, cap=ideal_cap):
+    for mask in ideals_with_sum(P, cfg.pi.k, cfg.pi.N - cfg.code.k, cap=args.cap_ideals):
         ideal = Ideal(P.n, mask, P.maximals_mask(mask))
         verdicts.append(
             {
@@ -247,9 +226,14 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        # CLI flags win; the config may set defaults for both
+        # CLI flags win over the config, and the config over the defaults;
+        # 0 is a cap like any other, and a space cap of None is the oracle's
         args.method = args.method or cfg.method or "auto"
         args.format = args.format or cfg.fmt or "json"
+        if args.cap_ideals is None:
+            args.cap_ideals = cfg.caps.get("ideals", IDEAL_CAP_DEFAULT)
+        if args.cap_space is None:
+            args.cap_space = cfg.caps.get("space")
         return COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

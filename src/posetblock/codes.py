@@ -19,6 +19,7 @@ distribution of MDS chain codes.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from .errors import (
     NonPrimeError,
     PreconditionError,
     TrivialCodeError,
+    integer,
 )
 from .oracle import _pairwise_weights, _r_ball_perfectness, _ranges, space_cap
 from .poset import (
@@ -45,9 +47,8 @@ from .poset import (
     dual_poset,
     fold_ideals,
     ideal_closure,
-    is_chain,
 )
-from .space import LabelMap, pi_support, vector_sub
+from .space import LabelMap, check_shape, pi_support, vector_sub
 from .weights import WeightModel, block_class_size, hamming_weight, metric_fault
 
 CODEWORD_CAP_DEFAULT = 10**6
@@ -112,9 +113,10 @@ class LinearCode:
 
 def linear_code(q: int, rows, n_cols: int | None = None) -> LinearCode:
     """Build a LinearCode from arbitrary generator rows (reduced internally)."""
+    q = integer(q, "alphabet size")
     if not _is_prime(q):
         raise NonPrimeError(f"alphabet size {q} is not prime")
-    rows = [list(r) for r in rows]
+    rows = [[integer(v, "generator entry") for v in r] for r in rows]
     if rows:
         widths = {len(r) for r in rows}
         if len(widths) != 1:
@@ -129,21 +131,23 @@ def linear_code(q: int, rows, n_cols: int | None = None) -> LinearCode:
     return LinearCode(q=q, n_cols=n_cols, generator=tuple(tuple(r) for r in reduced))
 
 
-def _codeword_matrix(C: LinearCode, cap: int) -> np.ndarray:
-    """All q^k codewords as the rows of an int64 matrix, in lexicographic
-    coefficient order; row 0 is the zero codeword."""
+def _codeword_matrix(C: LinearCode, cap: int, start: int = 0) -> Iterator[np.ndarray]:
+    """The codeword matrix a chunk at a time: the codewords from
+    coefficient index start on, in lexicographic coefficient order (index 0
+    is the zero codeword), as the rows of int64 matrices of at most a chunk
+    of symbols, each made from its own range of coefficient indices."""
     if C.size > cap:
         raise ExplosionError(f"q^k = {C.size} codewords exceed cap {cap}")
-    if C.k == 0:
-        return np.zeros((1, C.n_cols), dtype=np.int64)
-    G = np.array(C.generator, dtype=np.int64)
-    coefs = np.indices((C.q,) * C.k).reshape(C.k, -1).T
-    return (coefs @ G) % C.q
+    G = np.array(C.generator, dtype=np.int64).reshape(C.k, C.n_cols)
+    places = C.q ** np.arange(C.k - 1, -1, -1, dtype=np.int64)
+    for lo, hi in _ranges(C.size, C.n_cols, start):
+        index = np.arange(lo, hi, dtype=np.int64)
+        yield (index[:, None] // places % C.q) @ G % C.q
 
 
 def codewords(C: LinearCode, *, cap: int = CODEWORD_CAP_DEFAULT) -> tuple:
     """All q^k codewords as tuples, in lexicographic coefficient order."""
-    return tuple(map(tuple, _codeword_matrix(C, cap).tolist()))
+    return tuple(tuple(w) for words in _codeword_matrix(C, cap) for w in words.tolist())
 
 
 def min_distance(
@@ -155,22 +159,21 @@ def min_distance(
     cap: int = CODEWORD_CAP_DEFAULT,
 ) -> int:
     """Minimum nonzero codeword weight (exhaustive, by the oracle's row
-    kernel, a chunk of rows at a time); the Hamming-weight swap of W yields
-    the (P,pi) minimum distance."""
+    kernel, on one chunk of codewords at a time); the Hamming-weight swap of
+    W yields the (P,pi) minimum distance."""
+    check_shape(pi, P.n, C)
     if C.k == 0:
         raise TrivialCodeError("the zero code has no nonzero codeword")
-    if C.n_cols != pi.N:
-        raise DimensionError(f"code length {C.n_cols} != N = {pi.N}")
-    # the generator has full rank, so every row but the first is nonzero
-    words = _codeword_matrix(C, cap)[1:]
+    # the generator has full rank, so every codeword but the first is nonzero
     return min(
-        int(_pairwise_weights(P, pi, W, words[lo:hi]).min())
-        for lo, hi in _ranges(len(words))
+        int(_pairwise_weights(P, pi, W, words).min())
+        for words in _codeword_matrix(C, cap, start=1)
     )
 
 
 def i_ball_contains(pi: LabelMap, q: int, I: Ideal, center, x) -> bool:
     """Whether x lies in the I-ball around center: supp_pi(center - x) inside I."""
+    check_shape(pi, I.n)
     diff = vector_sub(q, tuple(center), tuple(x))
     return all(I.contains(i) for i in pi_support(pi, diff))
 
@@ -194,8 +197,7 @@ def is_I_perfect(C: LinearCode, I: Ideal, pi: LabelMap) -> bool:
     Packing is a rank test: the generator's columns outside I have rank k.
     No codeword is enumerated, and neither the poset nor the weight enters.
     """
-    if C.n_cols != pi.N:
-        raise DimensionError(f"code length {C.n_cols} != N = {pi.N}")
+    check_shape(pi, I.n, C)
     covering = sum(pi.k[i - 1] for i in I.members) == pi.N - C.k
     return covering and _packs(C, pi, I.members_mask)
 
@@ -220,6 +222,7 @@ def is_r_perfect(
     and balls that fill with a distance certificate (sought within the
     codeword cap only) are disjoint.
     """
+    check_shape(pi, P.n, C)
     if r < 0 or r > pi.n * W.M_w:
         raise BoundsError(f"radius {r} outside [0, {pi.n * W.M_w}]")
     volume = ball_volume(distribution(P, pi, W), r)
@@ -251,6 +254,7 @@ def is_r_error_correcting(
 ) -> bool:
     """Whether the r-balls centered at codewords are pairwise disjoint
     (`_r_balls_disjoint`); the zero code's one ball is."""
+    check_shape(pi, P.n, C)
     if r < 0:
         raise BoundsError(f"radius {r} < 0")
     return C.k == 0 or _r_balls_disjoint(C, r, P, pi, W, cap, codeword_cap)[0]
@@ -334,7 +338,6 @@ def singleton_report(
     pi: LabelMap,
     W: WeightModel,
     *,
-    cap: int = CODEWORD_CAP_DEFAULT,
     ideal_cap: int = IDEAL_CAP_DEFAULT,
 ) -> CodeReport:
     """Singleton bound data and MDS verdicts in both metrics.
@@ -345,8 +348,8 @@ def singleton_report(
     maxima fold P's decomposition in max-plus form with no ideal listed; a
     piece that does not decompose splits on a maximal element, and more
     than ideal_cap such pieces raise ExplosionError."""
-    d_pwpi = min_distance(C, P, pi, W, cap=cap)
-    d_ppi = min_distance(C, P, pi, hamming_weight(C.q), cap=cap)
+    d_pwpi = min_distance(C, P, pi, W)
+    d_ppi = min_distance(C, P, pi, hamming_weight(C.q))
     r_wtilde = (d_pwpi - W.m_w) // W.M_w
     rhs = pi.N - C.k
     # every cardinality 0..n has an ideal, and 0 <= r_wtilde, d_ppi - 1 <= n
@@ -388,22 +391,15 @@ def _equal_block_size(pi: LabelMap) -> int:
     return pi.k[0]
 
 
-def _mds_pwpi(C, P, pi, W, cap) -> bool:
+def _mds_pwpi(C, P, pi, W) -> bool:
     # the zero code has no nonzero codeword: no distance can violate the
     # bound, so it counts as MDS (needed when dualizing the whole space)
     if C.k == 0:
         return True
-    return singleton_report(C, P, pi, W, cap=cap).is_mds_pwpi
+    return singleton_report(C, P, pi, W).is_mds_pwpi
 
 
-def verify_duality(
-    C: LinearCode,
-    P: Poset,
-    pi: LabelMap,
-    W: WeightModel,
-    *,
-    cap: int = CODEWORD_CAP_DEFAULT,
-) -> bool:
+def verify_duality(C: LinearCode, P: Poset, pi: LabelMap, W: WeightModel) -> bool:
     """Four-way equivalence under a unique ideal of cardinality n - k/s.
 
     Requires equal blocks of size s with s | k and a unique ideal of that
@@ -411,6 +407,7 @@ def verify_duality(
     that C being MDS, C being I-perfect, the dual being I^c-perfect in the
     dual poset, and the dual being MDS all agree.
     """
+    check_shape(pi, P.n, C)
     s = _equal_block_size(pi)
     if C.k % s != 0:
         raise HypothesisError(f"block size {s} does not divide dimension {C.k}")
@@ -429,18 +426,18 @@ def verify_duality(
     )
     Cd = dual_code(C)
     checks = (
-        _mds_pwpi(C, P, pi, W, cap),
+        _mds_pwpi(C, P, pi, W),
         is_I_perfect(C, I, pi),
         is_I_perfect(Cd, I_comp, pi),
-        _mds_pwpi(Cd, Pd, pi, W, cap),
+        _mds_pwpi(Cd, Pd, pi, W),
     )
     return all(checks) or not any(checks)
 
 
 def construct_I_perfect(P: Poset, pi: LabelMap, I: Ideal, q: int) -> LinearCode:
     """Transversal construction: span of the unit vectors of blocks outside I."""
-    if P.n != pi.n:
-        raise DimensionError(f"poset has {P.n} elements, label map {pi.n}")
+    check_shape(pi, P.n)
+    check_shape(pi, I.n)
     if ideal_closure(P, I.members).members_mask != I.members_mask:
         raise PreconditionError(f"{I.members} is not an ideal of P")
     rows = []
@@ -463,7 +460,7 @@ def mds_chain_ball_counts(
     (1 <= l <= M_w), the count is (|D_0^s| + ... + |D_l^s|) * q^(k - s(n-t)),
     whose sum telescopes to (|D_0| + ... + |D_l|)^s.
     """
-    s, t0 = _check_mds_chain(C, P, pi, W)
+    s, t0 = _check_mds_chain(C, P, pi)
     n, M_w, q = pi.n, W.M_w, W.q
     out = []
     for r in range(n * M_w + 1):
@@ -485,7 +482,7 @@ def mds_chain_distribution(
     at r = t*M_w + l once r clears M_w*(n - k/s); zeros below the minimum
     distance fall out because |D_l| vanishes for l < m_w.
     """
-    s, t0 = _check_mds_chain(C, P, pi, W)
+    s, t0 = _check_mds_chain(C, P, pi)
     n, M_w, q = pi.n, W.M_w, W.q
     out = [0] * (n * M_w + 1)
     out[0] = 1
@@ -495,15 +492,26 @@ def mds_chain_distribution(
     return tuple(out)
 
 
-def _check_mds_chain(C, P, pi, W):
-    if not is_chain(P):
-        raise PreconditionError("poset is not a chain")
+def _check_mds_chain(C, P, pi):
+    """(s, t) for C MDS on a chain with blocks of size s | k, t = n - k/s.
+
+    Such a C is MDS in the (P,w,pi) metric exactly when it is I-perfect for
+    I the bottom t elements, which is a rank test.  The one ideal of size
+    c has sum(k_i) = s*c, so MDS means floor((d - m_w)/M_w) = t.  A
+    codeword whose ideal of support has c elements weighs between
+    M_w(c - 1) + m_w and M_w*c.  If every nonzero codeword has c >= t + 1,
+    d >= M_w*t + m_w, and the bound forces equality; if one has c <= t,
+    floor((d - m_w)/M_w) <= t - 1.  The zero code is MDS.
+    """
+    check_shape(pi, P.n, C)
+    order = chain_order(P)  # raises PreconditionError on non-chains
     s = _equal_block_size(pi)
     if C.k % s != 0:
         raise HypothesisError(f"block size {s} does not divide dimension {C.k}")
-    if not singleton_report(C, P, pi, W).is_mds_pwpi:
+    t = pi.n - C.k // s
+    if not is_I_perfect(C, ideal_closure(P, order[:t]), pi):
         raise PreconditionError("code is not MDS in the weighted metric")
-    return s, pi.n - C.k // s
+    return s, t
 
 
 def chain_mds_code(P: Poset, pi: LabelMap, q: int, dim: int) -> LinearCode:

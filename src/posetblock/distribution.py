@@ -38,7 +38,7 @@ from .poset import (
     fold_ideals,
     is_chain,
 )
-from .space import LabelMap
+from .space import LabelMap, check_shape
 from .weights import WeightModel, block_class_size
 
 
@@ -66,13 +66,6 @@ def ball_volume(table: DistributionTable, r: int) -> int:
     if not 0 <= r <= table.max_weight:
         raise BoundsError(f"radius {r} outside [0, {table.max_weight}]")
     return sum(table.counts[: r + 1])
-
-
-def _check_dims(P: Poset, pi: LabelMap) -> None:
-    if P.n != pi.n:
-        raise PreconditionError(
-            f"poset has {P.n} elements but label map has {pi.n} blocks"
-        )
 
 
 def _table(pi, W, counts, method) -> DistributionTable:
@@ -110,7 +103,7 @@ def distribution_general(
     piece that is neither splits on a maximal element, as the module
     docstring derives.  ideal_cap bounds the pieces split; no ideal is listed.
     """
-    _check_dims(P, pi)
+    check_shape(pi, P.n)
     # D_k(x) as a coefficient list, per block length
     D = {k: [0] + [block_class_size(W, b, k) for b in range(1, W.M_w + 1)]
          for k in set(pi.k)}
@@ -143,7 +136,7 @@ def distribution_general(
 
 def distribution_chain(P: Poset, pi: LabelMap, W: WeightModel) -> DistributionTable:
     """Chain closed form: |A_{t*M_w + a}| = q^(k_1+...+k_t) * |D_a^{k_{t+1}}|."""
-    _check_dims(P, pi)
+    check_shape(pi, P.n)
     order = chain_order(P)  # raises PreconditionError on non-chains
     q, M_w, n = W.q, W.M_w, pi.n
     counts = [0] * (n * M_w + 1)

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all posetblock modules."""
+"""Exception hierarchy shared by all posetblock modules, and the one integer check."""
+
+from numbers import Integral
 
 
 class PosetBlockError(Exception):
@@ -6,7 +8,7 @@ class PosetBlockError(Exception):
 
 
 class BoundsError(PosetBlockError):
-    """An index, radius or size parameter is outside its valid range."""
+    """A numeric parameter is not an integer, or lies outside its valid range."""
 
 
 class CycleError(PosetBlockError):
@@ -51,3 +53,13 @@ class ConfigError(PosetBlockError):
 
 class WeightWarning(UserWarning):
     """A custom weight lacks symmetry or subadditivity; the distance may not be a metric."""
+
+
+def integer(value, what: str) -> int:
+    """value as an int if it is a Python or numpy integer: never a bool,
+    never rounded or parsed; else BoundsError."""
+    if type(value) is int:  # the common case, first: config parsing is hot
+        return value
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    raise BoundsError(f"{what} must be an integer, got {value!r}")

@@ -28,7 +28,6 @@ read off the code's stored echelon form.
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -40,24 +39,19 @@ import numpy as np
 from .distribution import DistributionTable
 from .errors import BoundsError, ExplosionError
 from .poset import Poset
-from .space import LabelMap
+from .space import LabelMap, check_shape
 from .weights import WeightModel
 
 SPACE_CAP_DEFAULT = 10**7
-SPACE_CAP_ENV = "POSETBLOCK_CAP_SPACE"
 _CHUNK = 1 << 18
 _INDEX_MAX = 2**63 - 1
 _WITNESSES = 20
 
 
-def space_cap(override: int | None = None) -> int:
-    """The configured space cap, clamped to 2^63 - 1: sweeps index vectors in int64."""
-    if override is not None:
-        limit = override
-    else:
-        env = os.environ.get(SPACE_CAP_ENV)
-        limit = int(env) if env else SPACE_CAP_DEFAULT
-    return min(limit, _INDEX_MAX)
+def space_cap(cap: int | None = None) -> int:
+    """cap, or SPACE_CAP_DEFAULT for None, clamped to 2^63 - 1: sweeps index
+    vectors in int64."""
+    return min(SPACE_CAP_DEFAULT if cap is None else cap, _INDEX_MAX)
 
 
 @dataclass(frozen=True)
@@ -165,8 +159,11 @@ def _index_places(pi: LabelMap, q: int) -> tuple[list[int], list[int]]:
     return sizes, [q ** (pi.N - o - k) for o, k in zip(pi.offsets, pi.k)]
 
 
-def _ranges(total: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
+def _ranges(total: int, width: int = 1, start: int = 0) -> list[tuple[int, int]]:
+    """Index ranges [lo, hi) that cover [start, total), each of at most a
+    chunk of symbols in rows of width symbols (at least one row)."""
+    step = max(1, _CHUNK // max(1, width))
+    return [(lo, min(lo + step, total)) for lo in range(start, total, step)]
 
 
 def _check_cap(q: int, N: int, cap: int | None) -> int:
@@ -281,8 +278,7 @@ def oracle_distribution(
     threads: int = 1,
 ) -> OracleResult:
     """Exact weight histogram of the whole space by exhaustive sweep."""
-    if P.n != pi.n:
-        raise BoundsError(f"poset has {P.n} elements, label map {pi.n}")
+    check_shape(pi, P.n)
     q = W.q
     total = _check_cap(q, pi.N, cap)
     start = time.monotonic()
@@ -407,8 +403,6 @@ def _r_ball_perfectness(
     |B_r(0)| is the sum of the box sizes over the profile table; with no
     table it is the number of ball vectors the coset count sees.
     """
-    if code.n_cols != pi.N:
-        raise BoundsError("code length differs from label map N")
     _check_cap(W.q, pi.N, cap)
     size, chunks = _ball(P, pi, W, radius=radius)
     if size is not None and code.size * size > W.q**pi.N:
@@ -493,8 +487,8 @@ def oracle_perfectness(
     """
     if (ideal is None) == (radius is None):
         raise BoundsError("give exactly one of ideal= or radius=")
-    if code.n_cols != pi.N:
-        raise BoundsError("code length differs from label map N")
+    check_shape(pi, P.n, code)
+    check_shape(pi, None if ideal is None else ideal.n)
     if radius is not None and radius < 0:
         raise BoundsError(f"radius {radius} < 0")
     _check_cap(W.q, pi.N, cap)
@@ -526,6 +520,7 @@ def oracle_metric_axioms(
 ) -> MetricAxiomReport:
     """Seeded sampling of triples; reports identity/symmetry/triangle
     violations, with the first _WITNESSES of them as witnesses."""
+    check_shape(pi, P.n)
     if samples == 0:
         return MetricAxiomReport(samples=0, violation_count=0, witnesses=())
     rng = np.random.default_rng(seed)

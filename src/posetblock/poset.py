@@ -24,6 +24,7 @@ from .errors import (
     DimensionError,
     ExplosionError,
     PreconditionError,
+    integer,
 )
 
 N_CAP_DEFAULT = 64
@@ -168,13 +169,20 @@ def build_poset(n: int, relations: Iterable[tuple[int, int]] = ()) -> Poset:
     """Build the poset whose order is the reflexive-transitive closure of relations.
 
     relations contains 1-indexed (a, b) pairs meaning a <= b.  Raises
-    CycleError if the closure is not antisymmetric, BoundsError for indices
-    outside [1, n] or n outside [1, N_CAP_DEFAULT].
+    CycleError if the closure is not antisymmetric, BoundsError for a
+    relation that is not a pair, for a non-integer, and for indices outside
+    [1, n] or n outside [1, N_CAP_DEFAULT].
     """
+    n = integer(n, "ground set size")
     if not 1 <= n <= N_CAP_DEFAULT:
         raise BoundsError(f"ground set size {n} outside [1, {N_CAP_DEFAULT}]")
     up = [1 << i for i in range(n)]
-    for a, b in relations:
+    for pair in relations:
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise BoundsError(f"malformed relation pair: {pair!r}") from None
+        a, b = integer(a, "relation endpoint"), integer(b, "relation endpoint")
         if not (1 <= a <= n and 1 <= b <= n):
             raise BoundsError(f"relation ({a}, {b}) outside [1, {n}]")
         up[a - 1] |= 1 << (b - 1)
@@ -198,15 +206,16 @@ def build_poset(n: int, relations: Iterable[tuple[int, int]] = ()) -> Poset:
 
 def poset_from_json(obj: dict) -> Poset:
     """Parse the {"n": ..., "relations": [[a, b], ...]} wire shape."""
-    pairs = [(int(a), int(b)) for a, b in obj.get("relations", [])]
-    return build_poset(int(obj["n"]), pairs)
+    return build_poset(obj["n"], obj.get("relations", ()))
 
 
 def ideal_closure(P: Poset, S: Iterable[int]) -> Ideal:
     """Smallest ideal containing S (1-indexed labels), with maximals computed."""
     mask = 0
     for a in S:
-        P._check_element(a)
+        a = integer(a, "ideal element")
+        if not 1 <= a <= P.n:
+            raise BoundsError(f"ideal element {a} outside [1, {P.n}]")
         mask |= 1 << (a - 1)
     members = P.closure_mask(mask)
     return Ideal(n=P.n, members_mask=members, max_mask=P.maximals_mask(members))

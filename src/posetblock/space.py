@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BoundsError, DimensionError
+from .errors import BoundsError, DimensionError, integer
 from .poset import Poset
 from .weights import WeightModel
 
@@ -37,7 +37,7 @@ class LabelMap:
 
 
 def label_map(ks: Sequence[int]) -> LabelMap:
-    ks = tuple(int(v) for v in ks)
+    ks = tuple([integer(v, "block length") for v in ks])
     if not ks or any(v < 1 for v in ks):
         raise BoundsError(f"block lengths must be positive: {ks}")
     offsets = []
@@ -60,10 +60,20 @@ class BlockVector:
 
 
 def block_vector(pi: LabelMap, entries: Sequence[int]) -> BlockVector:
-    entries = tuple(int(v) for v in entries)
+    entries = tuple([integer(v, "vector entry") for v in entries])
     if len(entries) != pi.N:
         raise DimensionError(f"vector length {len(entries)} != N = {pi.N}")
     return BlockVector(pi=pi, entries=entries)
+
+
+def check_shape(pi: LabelMap, n: int | None = None, code=None) -> None:
+    """The one shape check: a poset or ideal on n elements must have one
+    element per block of pi, and a code one column per coordinate;
+    DimensionError otherwise."""
+    if n is not None and n != pi.n:
+        raise DimensionError(f"poset has {n} elements but pi lists {pi.n} blocks")
+    if code is not None and code.n_cols != pi.N:
+        raise DimensionError(f"code length {code.n_cols} != N = {pi.N}")
 
 
 def _entries(pi: LabelMap, x) -> tuple[int, ...]:
@@ -96,8 +106,7 @@ def block_weight(W: WeightModel, block: Sequence[int]) -> int:
 
 def pwpi_weight(P: Poset, pi: LabelMap, W: WeightModel, x) -> int:
     """Weight of x: block weights on the maximals of <supp_pi(x)>, M_w elsewhere."""
-    if P.n != pi.n:
-        raise DimensionError(f"poset has {P.n} elements, label map {pi.n}")
+    check_shape(pi, P.n)
     e = _entries(pi, x)
     supp_mask = 0
     bw = {}

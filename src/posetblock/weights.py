@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import BoundsError, InvalidWeightError, WeightWarning
+from .errors import BoundsError, InvalidWeightError, WeightWarning, integer
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,16 @@ class WeightModel:
         return sum(self.class_sizes[: r + 1])
 
 
+def _alphabet(q: int) -> int:
+    """q, once it is an integer of at least 2."""
+    q = integer(q, "alphabet size")
+    if q < 2:
+        raise BoundsError(f"alphabet size q = {q} must be at least 2")
+    return q
+
+
 def _derive(q: int, table: Sequence[int], name: str) -> WeightModel:
-    table = tuple(int(v) for v in table)
+    table = tuple([integer(v, "weight table entry") for v in table])
     if len(table) != q:
         raise InvalidWeightError(f"table has {len(table)} entries, expected {q}")
     if table[0] != 0:
@@ -56,15 +64,13 @@ def _derive(q: int, table: Sequence[int], name: str) -> WeightModel:
 
 def lee_weight(q: int) -> WeightModel:
     """Lee weight on Z_q: w(a) = min(a, q - a)."""
-    if q < 2:
-        raise BoundsError(f"alphabet size {q} < 2")
+    q = _alphabet(q)
     return _derive(q, [min(a, q - a) for a in range(q)], "lee")
 
 
 def hamming_weight(q: int) -> WeightModel:
     """Hamming weight on Z_q: w(a) = 1 for a != 0."""
-    if q < 2:
-        raise BoundsError(f"alphabet size {q} < 2")
+    q = _alphabet(q)
     return _derive(q, [0] + [1] * (q - 1), "hamming")
 
 
@@ -84,9 +90,7 @@ def metric_fault(W: WeightModel) -> str | None:
 
 def custom_weight(q: int, table: Sequence[int]) -> WeightModel:
     """Weight from an explicit table; warns if symmetry or subadditivity fail."""
-    if q < 2:
-        raise BoundsError(f"alphabet size {q} < 2")
-    W = _derive(q, table, "custom")
+    W = _derive(_alphabet(q), table, "custom")
     fault = metric_fault(W)
     if fault is not None:
         warnings.warn(fault, WeightWarning, stacklevel=2)

@@ -309,6 +309,17 @@ def test_cap_space_zero_is_a_cap(tmp_path, capsys):
     assert "space cap 0" in err
 
 
+def test_the_environment_sets_no_cap(tmp_path, capsys, monkeypatch):
+    # the space cap is the flag, else the config's, else the default
+    path = _write(tmp_path, SMALL_GENERAL)
+    for value in ("abc", "1"):
+        monkeypatch.setenv("POSETBLOCK_CAP_SPACE", value)
+        assert run(capsys, "oracle-compare", "--config", path)[0] == 0
+    path = _write(tmp_path, dict(SMALL_GENERAL, caps={"space": 3**7 - 1}))
+    assert run(capsys, "oracle-compare", "--config", path)[0] == 3
+    assert run(capsys, "oracle-compare", "--config", path, "--cap-space", str(3**7))[0] == 0
+
+
 def test_construct(tmp_path, capsys):
     cfg = {
         "q": 7,

@@ -5,7 +5,10 @@ from __future__ import annotations
 import dataclasses
 import random
 import time
+import tracemalloc
+import warnings
 
+import numpy as np
 import pytest
 
 import posetblock as pb
@@ -193,9 +196,9 @@ def test_r_ball_verdicts_check_the_code_length(ex69):
     P, pi, W, _ = ex69
     short = pb.linear_code(7, [[1] * (pi.N - 1)])
     for r in (1, 12):  # a ball that packs, and one that overlaps by pigeonhole
-        with pytest.raises(pb.BoundsError):
+        with pytest.raises(pb.DimensionError):
             pb.is_r_perfect(short, r, P, pi, W)
-        with pytest.raises(pb.BoundsError):
+        with pytest.raises(pb.DimensionError):
             pb.is_r_error_correcting(short, r, P, pi, W)
 
 
@@ -741,3 +744,95 @@ def test_mds_chain_distribution_preconditions(ex69):
     non_mds = pb.linear_code(5, [[1, 0, 0]])  # supported on the bottom element
     with pytest.raises(pb.PreconditionError):
         pb.mds_chain_distribution(non_mds, Pc, pic, lee(5))
+
+
+def _random_weight(rng, q):
+    """Lee, Hamming, or a random table, which may warn that it is no metric."""
+    kind = rng.choice(("lee", "hamming", "custom"))
+    if kind != "custom":
+        return pb.weight_from_json(q, kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", pb.WeightWarning)
+        return pb.custom_weight(q, [0] + [rng.randint(1, 4) for _ in range(q - 1)])
+
+
+def test_mds_chain_rank_test_matches_the_singleton_report():
+    # on a chain with blocks of s | k, MDS is I-perfectness for the bottom
+    # n - k/s elements: the closed forms answer exactly when the report says MDS
+    rng = random.Random(826)
+    verdicts = set()
+    for _ in range(150):
+        q = rng.choice([2, 3, 5, 7])
+        n, s = rng.randint(1, 4), rng.choice([1, 2])
+        dims = [d for d in range(s, n * s + 1, s) if q**d <= 2401]
+        if not dims:
+            continue
+        dim = rng.choice(dims)
+        P, pi, W = chain(n), pb.label_map([s] * n), _random_weight(rng, q)
+        rows = [[rng.randrange(q) for _ in range(n * s)] for _ in range(dim)]
+        C = pb.linear_code(q, rows)
+        if C.k % s or C.k == 0:
+            continue
+        mds = pb.singleton_report(C, P, pi, W).is_mds_pwpi
+        verdicts.add(mds)
+        if mds:
+            table = pb.mds_chain_distribution(C, P, pi, W)
+            direct = [0] * (n * W.M_w + 1)
+            for c in pb.codewords(C):
+                direct[pb.pwpi_weight(P, pi, W, c)] += 1
+            assert table == tuple(direct)
+        else:
+            with pytest.raises(pb.PreconditionError, match="not MDS"):
+                pb.mds_chain_distribution(C, P, pi, W)
+            with pytest.raises(pb.PreconditionError, match="not MDS"):
+                pb.mds_chain_ball_counts(C, P, pi, W)
+    assert verdicts == {True, False}
+
+
+def test_mds_chain_closed_forms_past_the_codeword_cap():
+    # 7^8 = 5,764,801 codewords on the 8-chain with blocks of 2: no codeword
+    # is listed, so nothing meets the codeword cap
+    P, pi, W = chain(8), pb.label_map([2] * 8), lee(7)
+    C = pb.chain_mds_code(P, pi, 7, 8)
+    assert C.size > pb.codes.CODEWORD_CAP_DEFAULT
+    start = time.perf_counter()
+    table = pb.mds_chain_distribution(C, P, pi, W)
+    balls = pb.mds_chain_ball_counts(C, P, pi, W)
+    assert time.perf_counter() - start < 0.5
+    assert sum(table) == C.size == balls[-1]
+    assert balls == tuple(sum(table[: r + 1]) for r in range(len(table)))
+
+
+def test_mds_chain_closed_forms_of_the_zero_code():
+    P, pi, W = chain(3), pb.label_map([2] * 3), lee(5)
+    zero = pb.linear_code(5, [], n_cols=6)
+    assert pb.mds_chain_distribution(zero, P, pi, W) == (1,) + (0,) * (3 * W.M_w)
+    assert pb.mds_chain_ball_counts(zero, P, pi, W) == (1,) * (3 * W.M_w + 1)
+
+
+def test_min_distance_builds_one_chunk_of_codewords_at_a_time(monkeypatch):
+    # 2^16 codewords of length 128 fill a 64 MiB int64 matrix
+    rng = random.Random(16)
+    P, pi, W = antichain(16), pb.label_map([8] * 16), pb.hamming_weight(2)
+    C = pb.linear_code(2, [[rng.randrange(2) for _ in range(128)] for _ in range(16)])
+    assert C.k == 16
+    tracemalloc.start()
+    try:
+        d = pb.min_distance(C, P, pi, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < C.size * C.n_cols * 8 / 4
+    # the Hamming weight on an antichain counts the nonzero blocks
+    coefs = (np.arange(C.size)[:, None] >> np.arange(15, -1, -1)) & 1
+    words = coefs.astype(np.uint8) @ np.array(C.generator, dtype=np.uint8) % 2
+    assert d == words.reshape(-1, 16, 8).any(axis=2).sum(axis=1)[1:].min()
+    # chunks of a few symbols list the same codewords in the same order
+    small = pb.linear_code(3, [[1, 2, 0], [0, 1, 1]])
+    whole = pb.codewords(small)
+    monkeypatch.setattr(pb.oracle, "_CHUNK", 5)
+    assert pb.codewords(small) == whole == tuple(
+        tuple((a * x + b * y) % 3 for x, y in zip(*small.generator))
+        for a in range(3)
+        for b in range(3)
+    )

@@ -171,16 +171,6 @@ def test_space_cap():
         pb.oracle_distribution(P, pi, pb.lee_weight(7), cap=10**6)
 
 
-def test_space_cap_env(monkeypatch):
-    monkeypatch.setenv("POSETBLOCK_CAP_SPACE", "10")
-    P = chain(2)
-    pi = pb.label_map([1, 1])
-    with pytest.raises(pb.ExplosionError):
-        pb.oracle_distribution(P, pi, pb.lee_weight(5))
-    monkeypatch.setenv("POSETBLOCK_CAP_SPACE", "100")
-    assert pb.oracle_distribution(P, pi, pb.lee_weight(5)).total == 25
-
-
 def test_space_cap_never_exceeds_int64(monkeypatch):
     # q^N = 2^64 does not fit an int64 vector index, whatever cap is set
     def unreachable(*args):
@@ -188,7 +178,6 @@ def test_space_cap_never_exceeds_int64(monkeypatch):
 
     monkeypatch.setattr(pb.oracle, "_weigher", unreachable)
     monkeypatch.setattr(pb.oracle, "_ranges", unreachable)
-    monkeypatch.setenv("POSETBLOCK_CAP_SPACE", str(2**70))
     P = antichain(2)
     pi = pb.label_map([32, 32])
     W = pb.hamming_weight(2)
