@@ -320,6 +320,17 @@ def test_the_environment_sets_no_cap(tmp_path, capsys, monkeypatch):
     assert run(capsys, "oracle-compare", "--config", path, "--cap-space", str(3**7))[0] == 0
 
 
+def test_config_checks_pi_and_the_ideal_for_every_command(tmp_path, capsys):
+    # classify reads neither pi nor the ideal, yet the config is refused
+    for cfg, message in (
+        (dict(EX45, pi=[2, 3, 4, 2]), "pi lists 4 blocks"),
+        (dict(EX45, ideal=[1, 6]), "ideal element 6 outside [1, 5]"),
+        (dict(EX45, ideal=[1.0]), "must be an integer"),
+    ):
+        code, out, err = run(capsys, "classify", "--config", _write(tmp_path, cfg))
+        assert (code, out) == (2, "") and message in err
+
+
 def test_construct(tmp_path, capsys):
     cfg = {
         "q": 7,
