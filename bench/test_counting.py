@@ -1,8 +1,11 @@
 """Counting rungs of the bench ladder, timed with pytest-benchmark.
 
 Each rung is one distribution call (method auto, which is general on
-these posets) on a poset that is no disjoint union and no ordinal sum, so
-the series-parallel fold has to split its pieces on a maximal element.
+these posets).  The fences and the bipartite poset are no disjoint union
+and no ordinal sum, so the series-parallel fold has to split its pieces on
+a maximal element; they run at q = 7, and the fence16 again at q = 101.
+The wide tables at q = 101 (Lee, M_w = 50) are ex45 and the 64-antichain,
+whose fold is one union of 64 parts, joined in halves.
 Run them from the repository root:
 
     python -m pytest bench/test_counting.py --benchmark-json=out.json
@@ -44,20 +47,25 @@ def _bipartite(n: int, density: float, seed: int):
     return pb.build_poset(n, pairs)
 
 
+# rung: (poset, block lengths or None for k_i = 1 + i mod 3, q), Lee weight
 RUNGS = {
-    "fence16": lambda: _fence(16),
-    "fence20": lambda: _fence(20),
-    "fence24": lambda: _fence(24),
+    "fence16": (lambda: _fence(16), None, 7),
+    "fence20": (lambda: _fence(20), None, 7),
+    "fence24": (lambda: _fence(24), None, 7),
     # 317,184 ideals
-    "bipartite24": lambda: _bipartite(24, 0.15, 1),
+    "bipartite24": (lambda: _bipartite(24, 0.15, 1), None, 7),
+    "ex45_q101": (lambda: pb.build_poset(5, [(1, 2)]), [2, 3, 4, 2, 2], 101),
+    "fence16_q101": (lambda: _fence(16), None, 101),
+    "antichain64_q101": (lambda: pb.build_poset(64), None, 101),
 }
 
 
 @pytest.mark.parametrize("rung", list(RUNGS))
 def test_rung(benchmark, rung):
-    P = RUNGS[rung]()
-    pi = pb.label_map([1 + i % 3 for i in range(P.n)])
-    W = pb.lee_weight(7)
+    poset, ks, q = RUNGS[rung]
+    P = poset()
+    pi = pb.label_map(ks or [1 + i % 3 for i in range(P.n)])
+    W = pb.lee_weight(q)
     table = benchmark.pedantic(
         lambda: pb.distribution(P, pi, W),
         rounds=ROUNDS,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .errors import (
     TrivialCodeError,
     integer,
 )
-from .oracle import _pairwise_weights, _r_ball_perfectness, _ranges, space_cap
+from .oracle import _r_ball_perfectness, _ranges, _row_weigher, space_cap
 from .poset import (
     IDEAL_CAP_DEFAULT,
     Ideal,
@@ -55,14 +56,7 @@ CODEWORD_CAP_DEFAULT = 10**6
 
 
 def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1
-    return True
+    return q >= 2 and all(q % d for d in range(2, isqrt(q) + 1))
 
 
 def _rref(rows: list[list[int]], q: int, n_cols: int) -> list[list[int]]:
@@ -165,10 +159,8 @@ def min_distance(
     if C.k == 0:
         raise TrivialCodeError("the zero code has no nonzero codeword")
     # the generator has full rank, so every codeword but the first is nonzero
-    return min(
-        int(_pairwise_weights(P, pi, W, words).min())
-        for words in _codeword_matrix(C, cap, start=1)
-    )
+    weigh = _row_weigher(P, pi, W)
+    return min(int(weigh(words).min()) for words in _codeword_matrix(C, cap, start=1))
 
 
 def i_ball_contains(pi: LabelMap, q: int, I: Ideal, center, x) -> bool:
@@ -462,14 +454,9 @@ def mds_chain_ball_counts(
     """
     s, t0 = _check_mds_chain(C, P, pi)
     n, M_w, q = pi.n, W.M_w, W.q
-    out = []
-    for r in range(n * M_w + 1):
-        if r <= M_w * t0:
-            out.append(1)
-        else:
-            t = (r + M_w - 1) // M_w - 1
-            l = r - t * M_w
-            out.append(W.prefix(l) ** s * q ** (C.k - s * (n - t)))
+    out = [1] * (M_w * t0 + 1)
+    for t in range(t0, n):
+        out += [W.prefix(l) ** s * q ** (C.k - s * (n - t)) for l in range(1, M_w + 1)]
     return tuple(out)
 
 

@@ -16,7 +16,10 @@ neither splits on a maximal element x: the ideals that hold x are the
 down-set of x joined to an ideal J of P - down x, with x maximal, the rest
 of down x below it and J's elements keeping their status, so
 F(P) = F(P - x) + D_{k_x}(x) x^(M_w(|down x| - 1)) q^(k(down x - x)) F(P - down x).
-No ideal is listed.  The hierarchical
+The fold evaluates these identities at x = 2^B, wide enough that each
+value is one exact int whose B-bit digits are the coefficients (Kronecker
+substitution): products are int products, and the counts are read off
+the digits once, at the end.  No ideal is listed.  The hierarchical
 theorem's level form is the special case of an ordinal sum of antichains.
 The chain method is the paper's chain closed form.  Both methods must
 agree exactly with each other and with the brute oracle.
@@ -28,8 +31,9 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from operator import mul
 
-from .errors import BoundsError, PreconditionError
+from .errors import BoundsError, PreconditionError, integer
 from .poset import (
     IDEAL_CAP_DEFAULT,
     Poset,
@@ -79,16 +83,6 @@ def _table(pi, W, counts, method) -> DistributionTable:
     )
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    """Product of two coefficient lists (index = exponent of x)."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 def distribution_general(
     P: Poset,
     pi: LabelMap,
@@ -96,41 +90,45 @@ def distribution_general(
     *,
     ideal_cap: int = IDEAL_CAP_DEFAULT,
 ) -> DistributionTable:
-    """F(P) by poset.fold_ideals; works for every instance.
+    """F(P) by poset.fold_ideals with the identities of the module
+    docstring, at x = 2^B; works for every instance.  ideal_cap bounds the
+    pieces split; no ideal is listed.
 
-    A disjoint union multiplies, F(P1 + P2) = F(P1) F(P2), an ordinal sum
-    with P1 below P2 gives F(P1) + x^(M_w |P1|) q^(k(P1)) (F(P2) - 1), and a
-    piece that is neither splits on a maximal element, as the module
-    docstring derives.  ideal_cap bounds the pieces split; no ideal is listed.
+    B is bitlen(q^N) + 1 rounded up to a whole byte, so the counts are the
+    B/8-byte digits of one to_bytes.  Every value the fold builds, and every
+    product or sum it forms, is a sub-sum of the weight enumerator of a
+    subspace: its coefficients are non-negative and at most q^N < 2^B, so
+    no digit carries and the int arithmetic is the polynomial arithmetic.
+    The stack subtracts F(P2)'s constant term, 1, so no digit borrows.
     """
     check_shape(pi, P.n)
-    # D_k(x) as a coefficient list, per block length
-    D = {k: [0] + [block_class_size(W, b, k) for b in range(1, W.M_w + 1)]
+    q, M_w = W.q, W.M_w
+    B = ((q**pi.N).bit_length() + 8) // 8 * 8
+    # D_k(2^B), per block length
+    D = {k: sum(block_class_size(W, b, k) << B * b for b in range(1, M_w + 1))
          for k in set(pi.k)}
 
     def k_sum(mask: int) -> int:
         return sum(pi.k[i] for i in _bits(mask))
 
-    def stack(low: list[int], below: int, high: list[int]) -> list[int]:
+    def stack(low: int, below: int, high: int) -> int:
         # low has degree M_w |below|, so the shifted F(P2) - 1 starts just past it
-        scale = W.q ** k_sum(below)
-        return low + [scale * c for c in high[1:]]
+        return low + (q ** k_sum(below) * (high - 1) << B * M_w * below.bit_count())
 
-    def split(x: int, down: int, without: list[int], rest: list[int]) -> list[int]:
+    def split(x: int, down: int, without: int, rest: int) -> int:
         # in down | J, x is maximal and the rest of down lies below it, while
-        # each element of J keeps its status; F(P - x) has the lower degree
-        scale = W.q ** k_sum(down & ~(1 << x))
-        shift = W.M_w * (down.bit_count() - 1)
-        term = _poly_mul(D[pi.k[x]], rest)
-        out = without + [0] * (shift + len(term) - len(without))
-        for e, c in enumerate(term, shift):
-            out[e] += scale * c
-        return out
+        # each element of J keeps its status
+        scale = q ** k_sum(down & ~(1 << x))
+        return without + (scale * D[pi.k[x]] * rest << B * M_w * (down.bit_count() - 1))
 
-    def leaf(i: int) -> list[int]:
-        return [1] + D[pi.k[i]][1:]
+    def leaf(i: int) -> int:
+        return 1 + D[pi.k[i]]
 
-    counts = fold_ideals(P, [1], leaf, _poly_mul, stack, split, cap=ideal_cap)
+    F = fold_ideals(P, 1, leaf, mul, stack, split, cap=ideal_cap)
+    width = B // 8
+    digits = F.to_bytes((pi.n * M_w + 1) * width, "little")
+    counts = [int.from_bytes(digits[r : r + width], "little")
+              for r in range(0, len(digits), width)]
     return _table(pi, W, counts, "general")
 
 
@@ -188,12 +186,22 @@ def table_to_json_dict(table: DistributionTable) -> dict:
     }
 
 
+def _count(value) -> int:
+    """A count read from JSON: a string of decimal digits or an integer."""
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    return integer(value, "count")
+
+
 def table_from_json_dict(obj: dict) -> DistributionTable:
-    entries = sorted(obj["counts"], key=lambda e: e["r"])
-    counts = tuple(int(e["count"]) for e in entries)
+    """Parse the table artifact: integers throughout, and r = 0, 1, 2, ...."""
+    entries = sorted(obj["counts"], key=lambda e: integer(e["r"], "table entry r"))
+    if [e["r"] for e in entries] != list(range(len(entries))):
+        raise BoundsError("table entries must have r = 0, 1, 2, ... with none missing")
+    counts = tuple(_count(e["count"]) for e in entries)
     return DistributionTable(
-        q=int(obj["q"]),
-        N=int(obj["N"]),
+        q=integer(obj["q"], "alphabet size"),
+        N=integer(obj["N"], "space dimension"),
         n=0,
         max_weight=len(counts) - 1,
         counts=counts,

@@ -131,11 +131,7 @@ def _rank_tables(pi: LabelMap, W: WeightModel) -> tuple[np.ndarray, list[np.ndar
 
 def _order_matrices(P: Poset) -> tuple[np.ndarray, np.ndarray]:
     """leq[i, j] = i <= j and strict[i, j] = i < j as uint8 matrices (0-indexed)."""
-    n = P.n
-    leq = np.zeros((n, n), dtype=np.uint8)
-    for j in range(n):
-        for i in range(n):
-            leq[i, j] = (P.down[j] >> i) & 1
+    leq = np.array([[d >> i & 1 for d in P.down] for i in range(P.n)], dtype=np.uint8)
     strict = leq.copy()
     np.fill_diagonal(strict, 0)
     return leq, strict
@@ -497,18 +493,21 @@ def oracle_perfectness(
     return _perfectness_result(max_mult, min_mult)
 
 
-def _pairwise_weights(
-    P: Poset, pi: LabelMap, W: WeightModel, diff: np.ndarray
-) -> np.ndarray:
-    """Weights of an (S, N) matrix of symbol rows."""
+def _row_weigher(P: Poset, pi: LabelMap, W: WeightModel) -> Callable[[np.ndarray], np.ndarray]:
+    """The weights of an (S, N) matrix of symbol rows, by a function that
+    reads the order matrices and the weight table built here, once."""
     wtab = np.array(W.table, dtype=np.int64)
-    wsym = wtab[diff]
-    wmat = np.empty((diff.shape[0], pi.n), dtype=np.int64)
-    for i in range(pi.n):
-        sl = pi.block_slice(i + 1)
-        wmat[:, i] = wsym[:, sl.start : sl.stop].max(axis=1)
     leq, strict = _order_matrices(P)
-    return _weights_from_block_weights(leq, strict, W.M_w, wmat)
+
+    def weigh(diff: np.ndarray) -> np.ndarray:
+        wsym = wtab[diff]
+        wmat = np.empty((diff.shape[0], pi.n), dtype=np.int64)
+        for i in range(pi.n):
+            sl = pi.block_slice(i + 1)
+            wmat[:, i] = wsym[:, sl.start : sl.stop].max(axis=1)
+        return _weights_from_block_weights(leq, strict, W.M_w, wmat)
+
+    return weigh
 
 
 def oracle_metric_axioms(
@@ -524,7 +523,7 @@ def oracle_metric_axioms(
     if samples == 0:
         return MetricAxiomReport(samples=0, violation_count=0, witnesses=())
     rng = np.random.default_rng(seed)
-    q = W.q
+    q, weigh = W.q, _row_weigher(P, pi, W)
     violation_count = 0
     witnesses: list[MetricViolation] = []
     done = 0
@@ -533,10 +532,10 @@ def oracle_metric_axioms(
         xs = rng.integers(0, q, size=(batch, pi.N), dtype=np.int64)
         ys = rng.integers(0, q, size=(batch, pi.N), dtype=np.int64)
         zs = rng.integers(0, q, size=(batch, pi.N), dtype=np.int64)
-        d_xy = _pairwise_weights(P, pi, W, (xs - ys) % q)
-        d_yx = _pairwise_weights(P, pi, W, (ys - xs) % q)
-        d_yz = _pairwise_weights(P, pi, W, (ys - zs) % q)
-        d_xz = _pairwise_weights(P, pi, W, (xs - zs) % q)
+        d_xy = weigh((xs - ys) % q)
+        d_yx = weigh((ys - xs) % q)
+        d_yz = weigh((ys - zs) % q)
+        d_xz = weigh((xs - zs) % q)
         ident_bad = (d_xy == 0) != (xs == ys).all(axis=1)
         sym_bad = d_xy != d_yx
         tri_bad = d_xz > d_xy + d_yz

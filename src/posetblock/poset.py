@@ -14,7 +14,6 @@ walks the whole lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate
 from typing import Iterable, Iterator
 
@@ -267,9 +266,10 @@ def _components(piece: int, adjacent) -> list[int]:
 
 def _take_apart(P: Poset, cap: int):
     """How the fold takes a piece of two or more elements apart: ("union",
-    its connected parts), ("sum", its ordinal summands bottom first) or else
-    ("split", (x, down)), with x a maximal element of the largest down-set
-    down in the piece.  Raises ExplosionError past cap split pieces."""
+    (low, high)), the union of the first half of its connected parts and the
+    rest, ("sum", its ordinal summands bottom first) or else ("split",
+    (x, down)), with x a maximal element of the largest down-set down in the
+    piece.  Raises ExplosionError past cap split pieces."""
     comparable = [P.down[i] | P.up[i] for i in range(P.n)]
     incomparable = [~c for c in comparable]
     splits = 0
@@ -278,7 +278,9 @@ def _take_apart(P: Poset, cap: int):
         nonlocal splits
         parts = _components(piece, comparable)
         if len(parts) > 1:
-            return "union", parts
+            # halves, so joins pair values of like size; disjoint, so sum is OR
+            low = sum(parts[: len(parts) // 2])
+            return "union", (low, piece & ~low)
         parts = _components(piece, incomparable)
         if len(parts) > 1:
             # bottom first: every element of a lower summand lies below every
@@ -300,7 +302,8 @@ def fold_ideals(
     """Answer a question about P's ideal lattice by folding its pieces,
     memoised on their masks (Stanley, Enumerative Combinatorics 1, ch. 3).
     No piece gives empty and element i (0-indexed) leaf(i); a disjoint union
-    joins its parts' values, join(a, b); an ordinal sum stacks each summand
+    joins the values of its two halves, join(a, b), each half a union of
+    whole connected parts; an ordinal sum stacks each summand
     onto the value low of the summands in the mask below, stack(low, below,
     high).  Any other piece has as ideals those of piece - x and down | J for
     J those of piece - down, for x maximal with down-set down, so it gives
@@ -316,7 +319,7 @@ def fold_ideals(
             return leaf(piece.bit_length() - 1)
         kind, parts = take_apart(piece)
         if kind == "union":
-            value = reduce(join, map(fold, parts))
+            value = join(fold(parts[0]), fold(parts[1]))
         elif kind == "sum":
             value, below = fold(parts[0]), parts[0]
             for part in parts[1:]:
@@ -362,7 +365,7 @@ def ideals_with_sum(
             apart[piece] = take_apart(piece)
         kind, parts = apart[piece]
         if kind == "union":
-            low, high = parts[0], piece & ~parts[0]
+            low, high = parts
             out = [
                 a | b
                 for t in range(budget + 1)

@@ -76,6 +76,28 @@ def test_min_distance_minimum_in_a_later_chunk(monkeypatch):
     assert pb.min_distance(C, P, pi, lee(7)) == min(weights)
 
 
+def test_order_matrices_are_built_once_per_call(monkeypatch):
+    # min_distance over several chunks of codewords, and a metric-axiom
+    # batch that weighs four matrices of rows, each build them once
+    built, weighed = [], []
+    real_order, real_weights = pb.oracle._order_matrices, pb.oracle._weights_from_block_weights
+    monkeypatch.setattr(pb.oracle, "_order_matrices", lambda P: built.append(P) or real_order(P))
+    monkeypatch.setattr(
+        pb.oracle, "_weights_from_block_weights",
+        lambda *args: weighed.append(args) or real_weights(*args),
+    )
+    monkeypatch.setattr(pb.oracle, "_CHUNK", 8)
+    P, pi = pb.build_poset(3, [(1, 2)]), pb.label_map([1, 2, 1])
+    C = pb.linear_code(7, [[1, 3, 0, 2], [0, 1, 5, 6]])
+    assert pb.min_distance(C, P, pi, lee(7)) == min(
+        pb.pwpi_weight(P, pi, lee(7), c) for c in pb.codewords(C) if any(c)
+    )
+    assert len(built) == 1 and len(weighed) == 24  # 48 nonzero codewords, 2 a chunk
+    built.clear()
+    assert pb.oracle_metric_axioms(P, pi, lee(7), samples=50, seed=1).ok
+    assert len(built) == 1
+
+
 def test_min_distance_full_space_and_zero():
     P = chain(3)
     pi = pb.label_map([1, 2, 1])

@@ -76,6 +76,26 @@ def test_every_entry_point_checks_its_shapes(name):
                 call(P, pi, wrong, I)
 
 
+def _table(q=2, N=2, r=1, count="2"):
+    """A table artifact of the space Z_2^2 (counts 1, 2, 1) with one value set."""
+    return {"q": q, "N": N, "counts": [{"r": 0, "count": "1"}, {"r": r, "count": count},
+                                       {"r": 2, "count": 1}]}
+
+
+def test_a_table_count_is_a_decimal_string_or_an_integer():
+    for count in ("2", 2, np.int64(2), "0002"):
+        table = pb.table_from_json_dict(_table(count=count))
+        assert table.counts == (1, 2, 1) and table.check_normalization()
+    # "q": 7.9 once loaded as 7, and a float count was truncated the same way
+    for count in (2.0, 2.5, "2.0", "2e0", "-2", " 2", "", True, None):
+        with pytest.raises(pb.BoundsError, match="count must be an integer"):
+            pb.table_from_json_dict(_table(count=count))
+    # a missing or repeated r once shifted every count after it
+    for r in (0, 3):
+        with pytest.raises(pb.BoundsError, match="none missing"):
+            pb.table_from_json_dict(_table(r=r))
+
+
 # each builder, with the one integer it is handed and a valid value for it
 BUILDERS = {
     "label_map": (lambda v: pb.label_map([v, 2]).k, 2),
@@ -90,6 +110,9 @@ BUILDERS = {
     "linear_code q": (lambda v: pb.linear_code(v, [[1, 2]]).generator, 5),
     "linear_code entry": (lambda v: pb.linear_code(5, [[1, v]]).generator, 2),
     "ideal_closure": (lambda v: pb.ideal_closure(chain(3), [v]).members_mask, 2),
+    "table_from_json_dict q": (lambda v: pb.table_from_json_dict(_table(q=v)).q, 2),
+    "table_from_json_dict N": (lambda v: pb.table_from_json_dict(_table(N=v)).N, 2),
+    "table_from_json_dict r": (lambda v: pb.table_from_json_dict(_table(r=v)).counts, 1),
 }
 
 

@@ -10,7 +10,9 @@ For the series-parallel decomposition it draws nested disjoint unions and
 ordinal sums of pieces, one of them an N or a fence, which do not
 decompose, so the union, the sum and the ideal-enumeration branches all
 run.  General must equal the oracle where q^N <= 10^5, and on larger
-instances (n <= 12, q <= 31) the ideal sum over the whole ground set.
+instances (n <= 12, q <= 101, blocks of up to 8 symbols, so N reaches 40
+and more and the packed fold's digits pass 64 bits) the ideal sum over
+the whole ground set.
 
 For perfectness it draws a small space (q^N <= 3^6), a linear code of
 dimension 1 up to N, and a weight as above; for that code and for the zero
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from collections import Counter
 from itertools import accumulate, combinations, product
 from math import prod
 from unittest import mock
@@ -171,31 +172,38 @@ def test_decomposition_equals_oracle(instance):
 
 @st.composite
 def large_composites(draw):
-    q = draw(st.sampled_from([2, 3, 5, 7, 11, 31]))
+    q = draw(st.sampled_from([2, 3, 5, 7, 11, 31, 101]))
     P = draw(composite_posets(draw(st.integers(5, 12))))
-    pi = pb.label_map(draw(st.lists(st.integers(1, 3), min_size=P.n, max_size=P.n)))
+    pi = pb.label_map(draw(st.lists(st.integers(1, 8), min_size=P.n, max_size=P.n)))
     return P, pi, _weight(draw, q)
 
 
 def _ideal_sums(P, pi, W):
     """The paper's sum over every ideal of enumerate_ideals: F(P) as a
     coefficient list, and best[c], the largest sum of k over the ideals of
-    cardinality c."""
+    cardinality c.  The product of the D_{k_i} over Max I is a coefficient
+    list, formed once per multiset of block lengths."""
     D = {k: [pb.block_class_size(W, b, k) for b in range(W.M_w + 1)] for k in set(pi.k)}
+    products = {(): [1]}
+
+    def product_of(ks):
+        if ks not in products:
+            rest, d = product_of(ks[1:]), D[ks[0]]
+            out = [0] * (len(rest) + W.M_w)
+            for e, coeff in enumerate(rest):
+                for b in range(1, W.M_w + 1):
+                    out[e + b] += coeff * d[b]
+            products[ks] = out
+        return products[ks]
+
     F = [0] * (P.n * W.M_w + 1)
     best = [0] * (P.n + 1)
     for I in pb.enumerate_ideals(P).ideals:
         below = [pi.k[i] for i in range(P.n) if (I.members_mask & ~I.max_mask) >> i & 1]
-        term = {len(below) * W.M_w: W.q ** sum(below)}
-        for i in range(P.n):
-            if I.max_mask >> i & 1:
-                grown = Counter()
-                for e, coeff in term.items():
-                    for b in range(1, W.M_w + 1):
-                        grown[e + b] += coeff * D[pi.k[i]][b]
-                term = grown
-        for e, coeff in term.items():
-            F[e] += coeff
+        top = tuple(sorted(pi.k[i] for i in range(P.n) if I.max_mask >> i & 1))
+        scale = W.q ** sum(below)
+        for e, coeff in enumerate(product_of(top), len(below) * W.M_w):
+            F[e] += scale * coeff
         weight = sum(pi.k[i] for i in range(P.n) if I.members_mask >> i & 1)
         best[I.card] = max(best[I.card], weight)
     return F, best

@@ -6,6 +6,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import posetblock as pb
 
@@ -92,6 +94,24 @@ def test_metric_fault_matches_the_definition():
         assert want is None or want in fault, table
         seen.add(want)
     assert seen == {None, "not symmetric", "not subadditive"}
+
+
+@pytest.mark.parametrize("skips", [True, False])
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_metric_fault_equals_the_pair_loop(skips, data):
+    # symmetric tables on both sides of 2 m_w >= M_w, the side on which
+    # metric_fault skips the pair loop: the verdict is the loop's
+    q = data.draw(st.integers(4, 31))
+    m = data.draw(st.integers(1, 4))
+    top = 2 * m if skips else data.draw(st.integers(2 * m + 1, 5 * m))
+    half = data.draw(st.lists(st.integers(m, top), min_size=q // 2, max_size=q // 2))
+    half[0], half[-1] = m, top
+    W = pb.weights._derive(q, [0] + half + half[: (q - 1) // 2][::-1], "custom")
+    assert (W.m_w, W.M_w) == (m, top)
+    w = W.table
+    subadditive = all(w[(a + b) % q] <= w[a] + w[b] for a in range(q) for b in range(q))
+    assert (pb.weights.metric_fault(W) is None) == subadditive
 
 
 def test_block_class_sizes_q7_lee_reference():
