@@ -83,7 +83,7 @@ def metric_fault(W: WeightModel) -> str | None:
             "weight table is not symmetric (w(a) != w(q-a)); the induced "
             "distance may not be symmetric"
         )
-    # for a, b != 0, w(a + b) <= M_w <= 2 m_w <= w(a) + w(b) needs no pair loop
+    # if 2 m_w >= M_w, then w(a + b) <= M_w <= 2 m_w <= w(a) + w(b) for a, b != 0
     if 2 * W.m_w < W.M_w and any(w[(a + b) % q] > w[a] + w[b] for a in range(q) for b in range(q)):
         return "weight table is not subadditive; the triangle inequality may fail"
     return None

@@ -86,11 +86,11 @@ def test_a_table_count_is_a_decimal_string_or_an_integer():
     for count in ("2", 2, np.int64(2), "0002"):
         table = pb.table_from_json_dict(_table(count=count))
         assert table.counts == (1, 2, 1) and table.check_normalization()
-    # "q": 7.9 once loaded as 7, and a float count was truncated the same way
+    # int() would truncate a float and parse a signed or padded string
     for count in (2.0, 2.5, "2.0", "2e0", "-2", " 2", "", True, None):
         with pytest.raises(pb.BoundsError, match="count must be an integer"):
             pb.table_from_json_dict(_table(count=count))
-    # a missing or repeated r once shifted every count after it
+    # a missing or repeated r would shift every count after it
     for r in (0, 3):
         with pytest.raises(pb.BoundsError, match="none missing"):
             pb.table_from_json_dict(_table(r=r))
