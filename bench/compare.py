@@ -11,7 +11,8 @@ Run it from the repository root that holds bench/.  A rung is named
 module/rung, e.g. perfectness/chain_r3 for test_rung[chain_r3] in
 bench/test_perfectness.py; its extra_info figures are kept per run, and
 the summary takes their median (the peak RSS, their max).  Each tree is
-named by its git describe and by a sha256 of its src/**/*.py.
+named by its git describe and by a sha256 of its src/**/*.py, and its
+src/posetblock/*.py line count is kept beside the numbers.
 """
 
 from __future__ import annotations
@@ -112,6 +113,11 @@ def _src_sha256(tree: Path) -> str:
     return digest.hexdigest()
 
 
+def _src_lines(tree: Path) -> int:
+    """The lines of the tree's src/posetblock/*.py: wc -l's total."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src/posetblock").glob("*.py"))
+
+
 def _cpu() -> str:
     try:
         lines = Path("/proc/cpuinfo").read_text().splitlines()
@@ -143,6 +149,7 @@ def main() -> None:
         "runs": args.runs,
         "commits": {side: _commit(tree) for side, tree in trees.items()},
         "src_sha256": {side: _src_sha256(tree) for side, tree in trees.items()},
+        "src_lines": {side: _src_lines(tree) for side, tree in trees.items()},
         "machine": {
             "cpu": _cpu(),
             "python": platform.python_version(),

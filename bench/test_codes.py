@@ -33,6 +33,17 @@ def _mds_chain_dim6():
     return lambda: (pb.mds_chain_distribution(C, P, pi, W), pb.mds_chain_ball_counts(C, P, pi, W))
 
 
+def _verify_duality_chain6_q5():
+    """verify_duality on the 6-chain with blocks of 2, Lee on Z_5, for the
+    transversal code of dimension 6: 5^6 = 15,625 codewords in the code and
+    as many in its dual."""
+    P = pb.build_poset(6, [(i, i + 1) for i in range(1, 6)])
+    pi = pb.label_map([2] * 6)
+    W = pb.lee_weight(5)
+    C = pb.chain_mds_code(P, pi, 5, 6)
+    return lambda: pb.verify_duality(C, P, pi, W)
+
+
 def _min_distance_wide():
     """min_distance of a seeded binary [128, 16] code on a 16-antichain with
     blocks of 8, Hamming: 2^16 codewords of 128 symbols."""
@@ -45,6 +56,7 @@ def _min_distance_wide():
 
 RUNGS = {
     "mds_chain_dim6": _mds_chain_dim6,
+    "verify_duality_chain6_q5": _verify_duality_chain6_q5,
     "min_distance_wide": _min_distance_wide,
 }
 

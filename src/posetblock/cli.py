@@ -44,16 +44,18 @@ EXIT_EXPLOSION = 3
 def _auto_threads(value: str) -> int:
     if value == "auto":
         return min(4, os.cpu_count() or 1)
-    return max(1, int(value))
+    return int(value)
 
 
 def _threads_flag(value: str) -> str:
-    """The raw --threads string, once it reads auto or an integer."""
+    """The raw --threads string, once it reads auto or an integer >= 1."""
     if value != "auto":
         try:
-            int(value)
+            count = int(value)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not auto or an integer: {value!r}") from None
+        if count < 1:
+            raise argparse.ArgumentTypeError(f"thread count {count} < 1")
     return value
 
 

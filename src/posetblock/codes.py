@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from math import isqrt
 
 import numpy as np
@@ -342,11 +343,10 @@ def singleton_report(
     than ideal_cap such pieces raise ExplosionError."""
     d_pwpi = min_distance(C, P, pi, W)
     d_ppi = min_distance(C, P, pi, hamming_weight(C.q))
-    r_wtilde = (d_pwpi - W.m_w) // W.M_w
     rhs = pi.N - C.k
     # every cardinality 0..n has an ideal, and 0 <= r_wtilde, d_ppi - 1 <= n
     best = _max_ideal_k_sums(P, pi, ideal_cap)
-    lhs = best[r_wtilde]
+    r_wtilde, lhs, is_mds_pwpi = _weighted_singleton(d_pwpi, W, best, rhs)
     ppi_lhs = best[d_ppi - 1]
     return CodeReport(
         d_pwpi=d_pwpi,
@@ -355,9 +355,16 @@ def singleton_report(
         singleton_lhs=lhs,
         singleton_rhs=rhs,
         ppi_lhs=ppi_lhs,
-        is_mds_pwpi=lhs == rhs,
+        is_mds_pwpi=is_mds_pwpi,
         is_mds_ppi=ppi_lhs == rhs,
     )
+
+
+def _weighted_singleton(d: int, W: WeightModel, best: list[int], rhs: int) -> tuple:
+    """(r~, best[r~], MDS) for r~ = floor((d - m_w)/M_w): the weighted
+    Singleton bound reads best[r~] <= N - k = rhs, and MDS is equality."""
+    r_wtilde = (d - W.m_w) // W.M_w
+    return r_wtilde, best[r_wtilde], best[r_wtilde] == rhs
 
 
 def dual_code(C: LinearCode) -> LinearCode:
@@ -376,11 +383,21 @@ def dual_code(C: LinearCode) -> LinearCode:
     return linear_code(q, basis, n_cols=n)
 
 
-def _equal_block_size(pi: LabelMap) -> int:
-    sizes = set(pi.k)
-    if len(sizes) != 1:
+def _equal_block_ideal(P: Poset, pi: LabelMap, k: int) -> tuple[int, Ideal]:
+    """(s, I^t) under the equal-block MDS hypothesis for dimension k: every
+    block has s symbols, s | k, and P has one ideal I^t of t = n - k/s
+    elements, found with no enumeration (poset._sole_ideal; on a chain, the
+    bottom t).  Each part that fails raises HypothesisError."""
+    s = pi.k[0]
+    if any(size != s for size in pi.k):
         raise HypothesisError(f"blocks are not all equal: {pi.k}")
-    return pi.k[0]
+    if k % s:
+        raise HypothesisError(f"block size {s} does not divide dimension {k}")
+    t = pi.n - k // s
+    members = _sole_ideal(P, t)
+    if members is None:
+        raise HypothesisError(f"|I^{t}| > 1, the MDS theorems need a unique ideal")
+    return s, Ideal(n=P.n, members_mask=members, max_mask=P.maximals_mask(members))
 
 
 def _mds_pwpi(C, P, pi, W) -> bool:
@@ -388,31 +405,22 @@ def _mds_pwpi(C, P, pi, W) -> bool:
     # bound, so it counts as MDS (needed when dualizing the whole space)
     if C.k == 0:
         return True
-    return singleton_report(C, P, pi, W).is_mds_pwpi
+    d = min_distance(C, P, pi, W)
+    return _weighted_singleton(d, W, _max_ideal_k_sums(P, pi), pi.N - C.k)[2]
 
 
 def verify_duality(C: LinearCode, P: Poset, pi: LabelMap, W: WeightModel) -> bool:
     """Four-way equivalence under a unique ideal of cardinality n - k/s.
 
-    Requires equal blocks of size s with s | k and a unique ideal of that
-    cardinality, found with no enumeration (poset._sole_ideal).  Checks
+    Requires the equal-block hypothesis (`_equal_block_ideal`).  Checks
     that C being MDS, C being I-perfect, the dual being I^c-perfect in the
-    dual poset, and the dual being MDS all agree.
+    dual poset, and the dual being MDS all agree; the MDS legs weigh only
+    d_pwpi, one codeword sweep each.
     """
     check_shape(pi, P.n, C)
-    s = _equal_block_size(pi)
-    if C.k % s != 0:
-        raise HypothesisError(f"block size {s} does not divide dimension {C.k}")
-    t = pi.n - C.k // s
-    members = _sole_ideal(P, t)
-    if members is None:
-        raise HypothesisError(
-            f"|I^{t}| > 1, the duality theorem needs a unique ideal"
-        )
-    I = Ideal(n=P.n, members_mask=members, max_mask=P.maximals_mask(members))
+    _, I = _equal_block_ideal(P, pi, C.k)
     Pd = dual_poset(P)
-    full = (1 << P.n) - 1
-    comp_mask = full & ~I.members_mask
+    comp_mask = ((1 << P.n) - 1) & ~I.members_mask
     I_comp = Ideal(
         n=P.n, members_mask=comp_mask, max_mask=Pd.maximals_mask(comp_mask)
     )
@@ -446,18 +454,14 @@ def construct_I_perfect(P: Poset, pi: LabelMap, I: Ideal, q: int) -> LinearCode:
 def mds_chain_ball_counts(
     C: LinearCode, P: Poset, pi: LabelMap, W: WeightModel
 ) -> tuple:
-    """|B(0, r) & C| for every radius r, for an MDS code on a chain.
+    """|B(0, r) & C| for every radius r, for an MDS code on a chain: the
+    running sums of `mds_chain_distribution`.
 
     1 up to radius M_w*(n - k/s); beyond that, with r = t*M_w + l
     (1 <= l <= M_w), the count is (|D_0^s| + ... + |D_l^s|) * q^(k - s(n-t)),
     whose sum telescopes to (|D_0| + ... + |D_l|)^s.
     """
-    s, t0 = _check_mds_chain(C, P, pi)
-    n, M_w, q = pi.n, W.M_w, W.q
-    out = [1] * (M_w * t0 + 1)
-    for t in range(t0, n):
-        out += [W.prefix(l) ** s * q ** (C.k - s * (n - t)) for l in range(1, M_w + 1)]
-    return tuple(out)
+    return tuple(accumulate(mds_chain_distribution(C, P, pi, W)))
 
 
 def mds_chain_distribution(
@@ -468,49 +472,40 @@ def mds_chain_distribution(
     1 at r = 0, zero below the minimum distance, and |D_l^s| * q^(k + s(t-n))
     at r = t*M_w + l once r clears M_w*(n - k/s); zeros below the minimum
     distance fall out because |D_l| vanishes for l < m_w.
+
+    Under the equal-block hypothesis (`_equal_block_ideal`), C is MDS in the
+    (P,w,pi) metric exactly when it is I-perfect for I^t, the bottom
+    t = n - k/s elements, which is a rank test.  The one ideal of size c
+    has sum(k_i) = s*c, so MDS means floor((d - m_w)/M_w) = t.  A codeword
+    whose ideal of support has c elements weighs between M_w(c - 1) + m_w
+    and M_w*c.  If every nonzero codeword has c >= t + 1, d >= M_w*t + m_w,
+    and the bound forces equality; if one has c <= t,
+    floor((d - m_w)/M_w) <= t - 1.  The zero code is MDS.
     """
-    s, t0 = _check_mds_chain(C, P, pi)
+    check_shape(pi, P.n, C)
+    chain_order(P)  # raises PreconditionError on non-chains, before the blocks
+    s, I = _equal_block_ideal(P, pi, C.k)
+    if not is_I_perfect(C, I, pi):
+        raise PreconditionError("code is not MDS in the weighted metric")
     n, M_w, q = pi.n, W.M_w, W.q
     out = [0] * (n * M_w + 1)
     out[0] = 1
-    for t in range(t0, n):
+    for t in range(n - C.k // s, n):
         for l in range(1, M_w + 1):
             out[t * M_w + l] = block_class_size(W, l, s) * q ** (C.k + s * (t - n))
     return tuple(out)
 
 
-def _check_mds_chain(C, P, pi):
-    """(s, t) for C MDS on a chain with blocks of size s | k, t = n - k/s.
-
-    Such a C is MDS in the (P,w,pi) metric exactly when it is I-perfect for
-    I the bottom t elements, which is a rank test.  The one ideal of size
-    c has sum(k_i) = s*c, so MDS means floor((d - m_w)/M_w) = t.  A
-    codeword whose ideal of support has c elements weighs between
-    M_w(c - 1) + m_w and M_w*c.  If every nonzero codeword has c >= t + 1,
-    d >= M_w*t + m_w, and the bound forces equality; if one has c <= t,
-    floor((d - m_w)/M_w) <= t - 1.  The zero code is MDS.
-    """
-    check_shape(pi, P.n, C)
-    order = chain_order(P)  # raises PreconditionError on non-chains
-    s = _equal_block_size(pi)
-    if C.k % s != 0:
-        raise HypothesisError(f"block size {s} does not divide dimension {C.k}")
-    t = pi.n - C.k // s
-    if not is_I_perfect(C, ideal_closure(P, order[:t]), pi):
-        raise PreconditionError("code is not MDS in the weighted metric")
-    return s, t
-
-
 def chain_mds_code(P: Poset, pi: LabelMap, q: int, dim: int) -> LinearCode:
-    """The transversal I-perfect code on the bottom n - dim/s chain elements.
+    """The transversal I-perfect code on I^t, the bottom t = n - dim/s chain
+    elements.
 
     On a chain this code is MDS, which makes it the canonical test subject
     for the duality and distribution theorems.
     """
-    s = _equal_block_size(pi)
-    if dim % s != 0 or not 0 <= dim <= pi.N:
-        raise HypothesisError(f"dimension {dim} incompatible with block size {s}")
-    order = chain_order(P)
-    bottom = order[: pi.n - dim // s]
-    I = ideal_closure(P, bottom)
+    chain_order(P)  # raises PreconditionError on non-chains, before the blocks
+    dim = integer(dim, "dimension")
+    if not 0 <= dim <= pi.N:
+        raise HypothesisError(f"dimension {dim} outside [0, {pi.N}]")
+    _, I = _equal_block_ideal(P, pi, dim)
     return construct_I_perfect(P, pi, I, q)

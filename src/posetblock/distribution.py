@@ -52,10 +52,12 @@ class DistributionTable:
 
     q: int
     N: int
-    n: int
-    max_weight: int
     counts: tuple[int, ...]
     method: str
+
+    @property
+    def max_weight(self) -> int:
+        return len(self.counts) - 1
 
     def total(self) -> int:
         return sum(self.counts)
@@ -73,14 +75,7 @@ def ball_volume(table: DistributionTable, r: int) -> int:
 
 
 def _table(pi, W, counts, method) -> DistributionTable:
-    return DistributionTable(
-        q=W.q,
-        N=pi.N,
-        n=pi.n,
-        max_weight=pi.n * W.M_w,
-        counts=tuple(counts),
-        method=method,
-    )
+    return DistributionTable(q=W.q, N=pi.N, counts=tuple(counts), method=method)
 
 
 def distribution_general(
@@ -202,8 +197,6 @@ def table_from_json_dict(obj: dict) -> DistributionTable:
     return DistributionTable(
         q=integer(obj["q"], "alphabet size"),
         N=integer(obj["N"], "space dimension"),
-        n=0,
-        max_weight=len(counts) - 1,
         counts=counts,
         method=obj.get("method", "unknown"),
     )

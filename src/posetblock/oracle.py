@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distribution import DistributionTable
-from .errors import BoundsError, ExplosionError
+from .errors import BoundsError, ExplosionError, integer
 from .poset import Poset
 from .space import LabelMap, check_shape
 from .weights import WeightModel
@@ -67,14 +67,7 @@ class OracleResult:
 
     def to_table(self) -> DistributionTable:
         counts = tuple(self.histogram.get(r, 0) for r in range(self.max_weight + 1))
-        return DistributionTable(
-            q=self.q,
-            N=self.N,
-            n=self.n,
-            max_weight=self.max_weight,
-            counts=counts,
-            method="oracle",
-        )
+        return DistributionTable(q=self.q, N=self.N, counts=counts, method="oracle")
 
 
 @dataclass(frozen=True)
@@ -275,6 +268,9 @@ def oracle_distribution(
 ) -> OracleResult:
     """Exact weight histogram of the whole space by exhaustive sweep."""
     check_shape(pi, P.n)
+    threads = integer(threads, "thread count")
+    if threads < 1:
+        raise BoundsError(f"thread count {threads} < 1")
     q = W.q
     total = _check_cap(q, pi.N, cap)
     start = time.monotonic()

@@ -190,16 +190,15 @@ def build_poset(n: int, relations: Iterable[tuple[int, int]] = ()) -> Poset:
         for i in range(n):
             if (up[i] >> k) & 1:
                 up[i] |= up[k]
-    for i in range(n):
-        for j in _bits(up[i] & ~(1 << i)):
-            if (up[j] >> i) & 1:
-                raise CycleError(
-                    f"elements {i + 1} and {j + 1} are mutually comparable"
-                )
     down = [0] * n
     for i in range(n):
         for j in _bits(up[i]):
             down[j] |= 1 << i
+    # antisymmetry: i is the only element both above and below i
+    for i in range(n):
+        if up[i] & down[i] != 1 << i:
+            j = next(j for j in _bits(up[i] & down[i]) if j != i)
+            raise CycleError(f"elements {i + 1} and {j + 1} are mutually comparable")
     return Poset(n=n, down=tuple(down), up=tuple(up))
 
 

@@ -556,6 +556,14 @@ def test_bad_threads_exits_2(cfg45, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_threads_below_one_exit_2(cfg45, capsys):
+    for value in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["distribution", "--config", cfg45, "--method", "oracle", "--threads", value])
+        assert exc.value.code == 2
+        assert f"thread count {value} < 1" in capsys.readouterr().err
+
+
 def test_every_command_takes_every_flag():
     parser = cli.build_parser()
     for name in cli.COMMANDS:

@@ -113,6 +113,12 @@ BUILDERS = {
     "table_from_json_dict q": (lambda v: pb.table_from_json_dict(_table(q=v)).q, 2),
     "table_from_json_dict N": (lambda v: pb.table_from_json_dict(_table(N=v)).N, 2),
     "table_from_json_dict r": (lambda v: pb.table_from_json_dict(_table(r=v)).counts, 1),
+    "chain_mds_code dim": (
+        lambda v: pb.chain_mds_code(chain(3), pb.label_map([1] * 3), 5, v).generator, 2
+    ),
+    "oracle_distribution threads": (
+        lambda v: pb.oracle_distribution(chain(2), pb.label_map([1, 1]), W, threads=v).histogram, 2
+    ),
 }
 
 

@@ -72,6 +72,16 @@ def test_threads_deterministic(ex45):
     assert single.to_table().counts == pb.distribution_general(P, pi, W).counts
 
 
+def test_thread_counts_are_at_least_one(ex45):
+    # the check comes before the cap and the sweep: 7^13 vectors are over
+    # the cap, so a bad count costs no vector (tests/test_inputs.py checks
+    # that the count is an integer)
+    P, pi, W = ex45
+    for threads in (0, -1):
+        with pytest.raises(pb.BoundsError, match=f"thread count {threads} < 1"):
+            pb.oracle_distribution(P, pi, W, threads=threads)
+
+
 def test_kernel_with_a_block_over_a_chunk():
     # q = 2 and k = 19: the last block alone exceeds a chunk, so no suffix
     # fits one and every vector's key sums both blocks' terms

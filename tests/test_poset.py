@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -45,6 +46,23 @@ def test_build_poset_errors():
     with pytest.raises(pb.BoundsError):
         pb.build_poset(65, [])
     assert pb.build_poset(64, []).n == 64
+
+
+def _comparable_pair(err):
+    found = re.fullmatch(r"elements (\d+) and (\d+) are mutually comparable", str(err))
+    return tuple(map(int, found.groups()))
+
+
+def test_cycle_error_names_a_mutually_comparable_pair():
+    # a 2-cycle, and a 3-cycle that only the transitive closure shows, each
+    # beside an element outside it
+    with pytest.raises(pb.CycleError) as exc:
+        pb.build_poset(3, [(1, 3), (3, 2), (2, 3)])
+    assert _comparable_pair(exc.value) == (2, 3)
+    with pytest.raises(pb.CycleError) as exc:
+        pb.build_poset(4, [(4, 1), (2, 3), (3, 4), (4, 2)])
+    a, b = _comparable_pair(exc.value)
+    assert a != b and {a, b} <= {2, 3, 4}
 
 
 def test_ideal_closure_example(ex45):

@@ -26,6 +26,13 @@ every B_{I u J}(0) with |I| = |J| = r/M_w free of nonzero codewords, and
 min_distance, under the weight and under Hamming, must equal the least
 pwpi_weight over the nonzero codewords.
 
+For the equal-block MDS hypothesis it draws a chain or a random poset,
+blocks of s symbols and a random or transversal code.  Where the hypothesis
+holds, verify_duality must agree and sweep the codewords once per MDS leg,
+and its MDS leg must equal singleton_report's; each input that breaks one
+part of it (the chain, equal blocks, s | k, the unique ideal, MDS) must
+raise the same error type from every entry point that reads it.
+
 table_to_json must write the bytes of json.dumps(..., indent=2) for every
 drawn table, with its counts and with its running sums as ball volumes.
 """
@@ -269,6 +276,93 @@ def test_verify_duality_needs_a_unique_ideal(P):
                 pb.verify_duality(C, P, pi, pb.hamming_weight(2))
 
 
+@st.composite
+def equal_block_codes(draw):
+    """A chain or a random poset, blocks of s symbols (q^N <= 3^8), a Lee,
+    Hamming or custom weight, and a code: random rows, or the transversal
+    code on a random ideal."""
+    q, s = draw(st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]))
+    n = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        P = pb.build_poset(n, [(i, i + 1) for i in range(1, n)])
+    else:
+        P = draw(random_posets(n))
+    pi = pb.label_map([s] * P.n)
+    if draw(st.booleans()):
+        ideals = pb.enumerate_ideals(P).ideals
+        C = pb.construct_I_perfect(P, pi, draw(st.sampled_from(ideals)), q)
+    else:
+        rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=pi.N, max_size=pi.N),
+                             max_size=pi.N))
+        C = pb.linear_code(q, rows, n_cols=pi.N)
+    return P, pi, _weight(draw, q), C
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(equal_block_codes())
+def test_equal_block_hypothesis_has_one_owner(instance):
+    # verify_duality and the MDS-chain forms read one hypothesis: equal
+    # blocks, s | k, one ideal of n - k/s elements; the chain entry points
+    # test the chain first.  Each input that breaks one part raises the
+    # same error type everywhere, and the duality check sweeps the codewords
+    # once per MDS leg.
+    P, pi, W, C = instance
+    q, s, n = C.q, pi.k[0], P.n
+    is_chain = pb.classify(P).is_chain
+    divides = C.k % s == 0
+    unique = divides and len(pb.enumerate_ideals(P).of_card(n - C.k // s)) == 1
+    if unique:
+        sweeps = pb.codes._codeword_matrix
+        with mock.patch.object(pb.codes, "_codeword_matrix", wraps=sweeps) as spy:
+            assert pb.verify_duality(C, P, pi, W)
+        assert spy.call_count == (C.k > 0) + (C.k < pi.N)
+        if C.k:
+            mds = pb.singleton_report(C, P, pi, W).is_mds_pwpi
+            assert pb.codes._mds_pwpi(C, P, pi, W) == mds
+    else:
+        text = "unique ideal" if divides else "does not divide"
+        with pytest.raises(pb.HypothesisError, match=text):
+            pb.verify_duality(C, P, pi, W)
+    chain_forms = (pb.mds_chain_distribution, pb.mds_chain_ball_counts)
+    if not is_chain:
+        fault = (pb.PreconditionError, "not a chain")
+    elif not divides:
+        fault = (pb.HypothesisError, "does not divide")
+    elif C.k and not pb.singleton_report(C, P, pi, W).is_mds_pwpi:
+        fault = (pb.PreconditionError, "not MDS")
+    else:
+        fault = None
+        table = pb.mds_chain_distribution(C, P, pi, W)
+        assert sum(table) == C.size
+        assert pb.mds_chain_ball_counts(C, P, pi, W) == tuple(accumulate(table))
+    for form in chain_forms if fault else ():
+        with pytest.raises(fault[0], match=fault[1]):
+            form(C, P, pi, W)
+    if not is_chain:
+        with pytest.raises(pb.PreconditionError, match="not a chain"):
+            pb.chain_mds_code(P, pi, q, C.k)
+    elif not divides:
+        with pytest.raises(pb.HypothesisError, match="does not divide"):
+            pb.chain_mds_code(P, pi, q, C.k)
+    else:
+        assert pb.chain_mds_code(P, pi, q, C.k).k == C.k
+    # unequal blocks: one more symbol in the last block, a zero column in C;
+    # a non-chain is reported first by all three chain entry points
+    bad = pb.label_map([s] * (n - 1) + [s + 1])
+    Cb = pb.linear_code(q, [list(row) + [0] for row in C.generator], n_cols=pi.N + 1)
+    with pytest.raises(pb.HypothesisError, match="not all equal"):
+        pb.verify_duality(Cb, P, bad, W)
+    if is_chain:
+        error, text = pb.HypothesisError, "not all equal"
+    else:
+        error, text = pb.PreconditionError, "not a chain"
+    for form in chain_forms:
+        with pytest.raises(error, match=text):
+            form(Cb, P, bad, W)
+    with pytest.raises(error, match=text):
+        pb.chain_mds_code(P, bad, q, C.k)
+
+
 PERFECTNESS_PAIRS = 3**7  # vectors x codewords the brute force visits
 
 
@@ -435,9 +529,7 @@ def test_kernel_weighs_every_range_like_pwpi_weight(case):
     st.integers(1, 101),
 )
 def test_table_to_json_writes_the_indented_encoder_bytes(counts, method, q, N):
-    table = pb.DistributionTable(
-        q=q, N=N, n=0, max_weight=len(counts) - 1, counts=tuple(counts), method=method
-    )
+    table = pb.DistributionTable(q=q, N=N, counts=tuple(counts), method=method)
     assert pb.table_to_json(table) == json.dumps(pb.table_to_json_dict(table), indent=2)
     volumes = [{"r": r, "volume": str(v)} for r, v in enumerate(accumulate(counts))]
     want = {"q": q, "N": N, "method": method, "volumes": volumes}
