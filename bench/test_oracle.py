@@ -8,13 +8,17 @@ every vector of the space.  Run them from the repository root:
 Like bench/test_perfectness.py, every rung calls only the public API, so
 -o pythonpath=TREE/src times another tree, and bench/compare.py runs each
 rung in its own process on two trees.  Each rung stores the process's peak
-RSS (MiB) and the sweep rate, vectors per second at the median round, in
-its extra_info.
+RSS (MiB), the sweep rate (vectors per second at the median round), the
+number of block-weight profiles (radix^n, radix the number of distinct
+symbol weights) and whether the kernel keeps a table of them (at most one
+sweep chunk of profiles), in its extra_info, so the JSON says which path
+each rung timed.
 """
 
 from __future__ import annotations
 
 import resource
+import warnings
 
 import pytest
 
@@ -35,9 +39,20 @@ def _four_blocks_5e10():
     return P, pb.label_map([3, 3, 2, 2]), pb.lee_weight(5)
 
 
+def _no_table_11e6():
+    """Z_11^6 on a 6-chain with blocks of 1, custom weight w(a) = a: 11 symbol
+    weights, so 11^6 profiles, more than a chunk holds, and no table."""
+    P = pb.build_poset(6, [(i, i + 1) for i in range(1, 6)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", pb.WeightWarning)  # w(a) != w(-a)
+        W = pb.custom_weight(11, list(range(11)))
+    return P, pb.label_map([1] * 6), W
+
+
 RUNGS = {
     "sweep_chain_7e8": _chain_7e8,
     "sweep_four_blocks_5e10": _four_blocks_5e10,
+    "sweep_no_table_11e6": _no_table_11e6,
 }
 
 
@@ -54,3 +69,6 @@ def test_rung(benchmark, rung):
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     benchmark.extra_info["peak_rss_mib"] = round(peak, 1)
     benchmark.extra_info["vectors_per_s"] = round(result.total / benchmark.stats.stats.median)
+    profiles = len(set(W.table)) ** pi.n
+    benchmark.extra_info["profiles"] = profiles
+    benchmark.extra_info["table_path"] = profiles <= pb.oracle._CHUNK

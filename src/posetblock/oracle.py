@@ -4,15 +4,19 @@ Vectors are indexed in odometer order (last coordinate fastest) and
 processed in chunks of at most 2^18 indices.  The weight histogram sweeps
 every index in [0, q^N).  Block weights are ranked on one scale, the
 distinct symbol weights, by brute enumeration of each block's q^k_i
-values; a vector's weight is then computed from its block-weight profile
-by the definitional closure/maximals rule.  One kernel does this weighing
-for every sweep.  A vector's profile key is a sum of per-block terms, and
-the trailing blocks run fastest, so the terms of the longest suffix of
-blocks that fits a chunk are summed once into an outer-sum array, and a
-range's keys add that array to the key of each leading index it meets;
-every vector is still weighed through its own key.  Nothing here touches
-the ideal counting machinery or the code module, so agreement with the
-closed forms is a real theorem check.
+values, and every vector is keyed by its block-weight profile; each
+profile's weight is computed by the definitional closure/maximals rule.
+One kernel does this keying and weighing for every sweep.  A vector's
+profile key is a sum of per-block terms, and the trailing blocks run
+fastest, so the terms of the longest suffix of blocks that fits a chunk
+are summed once into an outer-sum array, and a range's keys add that
+array to the key of each leading index it meets.  The histogram counts
+every vector's key, then weighs each counted profile once: it adds up
+the number of vectors per profile key over the ranges and folds those
+counts into weights at the end (with a profile table), or weighs each
+range's distinct keys (without one).  Nothing here touches the ideal
+counting machinery or the code module, so agreement with the closed
+forms is a real theorem check.
 
 Perfectness verdicts count per coset instead of per codeword, using only
 the linearity of the code: r-balls and I-balls are both translates of a
@@ -62,7 +66,6 @@ class OracleResult:
     fingerprint: str
     q: int
     N: int
-    n: int
     max_weight: int
 
     def to_table(self) -> DistributionTable:
@@ -168,16 +171,22 @@ class _Kernel(NamedTuple):
     """The one weight kernel, built by _weigher.
 
     weigh(lo, hi) gives the weights of the vectors with index in [lo, hi).
-    A vector's profile is its tuple of block weights, keyed as the number
-    whose base-radix digits are the blocks' ranks[i][code_i], block 0 most
-    significant; radix is the number of distinct symbol weights.  table
-    holds the weight of every profile key when there are at most a chunk
-    of them, else None.  The keys of a range are sums of a leading part and
-    a trailing part (see _weigher); the trailing part is built on the first
-    weigh call, so a kernel read only for its table costs no sweep set-up.
+    count(lo, hi) gives an int64 array of vector counts for [lo, hi); the
+    counts of several ranges add elementwise, and fold(counts) turns their
+    sum into the weight histogram, an int64 array indexed by weight 0 ..
+    n * M_w.  A vector's profile is its tuple of block weights, keyed as
+    the number whose base-radix digits are the blocks' ranks[i][code_i],
+    block 0 most significant; radix is the number of distinct symbol
+    weights.  table holds the weight of every profile key when there are
+    at most a chunk of them, else None.  The keys of a range are sums of a
+    leading part and a trailing part (see _weigher); the trailing part is
+    built on the first weigh or count call, so a kernel read only for its
+    table costs no sweep set-up.
     """
 
     weigh: Callable[[int, int], np.ndarray]
+    count: Callable[[int, int], np.ndarray]
+    fold: Callable[[np.ndarray], np.ndarray]
     ranks: list
     radix: int
     table: np.ndarray | None
@@ -199,7 +208,12 @@ def _weigher(P: Poset, pi: LabelMap, W: WeightModel) -> _Kernel:
     Vectors are keyed by their block-weight profile, and the definitional
     weight is computed once per profile: for all profiles up front when
     there are at most a chunk of them, else once per distinct profile in
-    each range.
+    each range.  With the table, count gives the number of vectors per
+    profile key, and fold adds each key's count to its weight once, after
+    the sweep; without it, count gives a range's weight histogram, adding
+    each distinct key's count to its weight, and fold keeps the sum.
+    Counts stay int64 throughout: a float bincount(weights=) is not exact
+    past 2^53, and a space may hold up to 2^63 - 1 vectors.
 
     In odometer order the trailing blocks run fastest, so index
     h * span + t, with span the size of the longest suffix of blocks that
@@ -242,6 +256,11 @@ def _weigher(P: Poset, pi: LabelMap, W: WeightModel) -> _Kernel:
             wmat[:, i] = levels[keys // key_places[i] % radix]
         return _weights_from_block_weights(leq, strict, W.M_w, wmat)
 
+    def by_weight(weights: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        hist = np.zeros(pi.n * W.M_w + 1, dtype=np.int64)
+        np.add.at(hist, weights, counts)
+        return hist
+
     n_profiles = radix**pi.n
     if n_profiles <= _CHUNK:
         table = profile_weights(np.arange(n_profiles, dtype=np.int64))
@@ -249,13 +268,26 @@ def _weigher(P: Poset, pi: LabelMap, W: WeightModel) -> _Kernel:
         def weigh_by_table(lo: int, hi: int) -> np.ndarray:
             return table[profiles(lo, hi)]
 
-        return _Kernel(weigh_by_table, ranks, radix, table)
+        def count_keys(lo: int, hi: int) -> np.ndarray:
+            return np.bincount(profiles(lo, hi), minlength=n_profiles)
+
+        def fold_keys(key_counts: np.ndarray) -> np.ndarray:
+            return by_weight(table, key_counts)
+
+        return _Kernel(weigh_by_table, count_keys, fold_keys, ranks, radix, table)
 
     def weigh(lo: int, hi: int) -> np.ndarray:
         ukeys, inverse = np.unique(profiles(lo, hi), return_inverse=True)
         return profile_weights(ukeys)[inverse]
 
-    return _Kernel(weigh, ranks, radix, None)
+    def count_weights(lo: int, hi: int) -> np.ndarray:
+        ukeys, counts = np.unique(profiles(lo, hi), return_counts=True)
+        return by_weight(profile_weights(ukeys), counts)
+
+    def keep(hist: np.ndarray) -> np.ndarray:
+        return hist
+
+    return _Kernel(weigh, count_weights, keep, ranks, radix, None)
 
 
 def oracle_distribution(
@@ -266,7 +298,13 @@ def oracle_distribution(
     cap: int | None = None,
     threads: int = 1,
 ) -> OracleResult:
-    """Exact weight histogram of the whole space by exhaustive sweep."""
+    """Exact weight histogram of the whole space by exhaustive sweep.
+
+    Every vector is keyed by its own block-weight profile.  The kernel
+    counts the keys of each index range, the ranges' counts are summed in
+    int64 (threads > 1 counts ranges in a thread pool), and the sum is
+    folded into the histogram once.
+    """
     check_shape(pi, P.n)
     threads = integer(threads, "thread count")
     if threads < 1:
@@ -274,21 +312,14 @@ def oracle_distribution(
     q = W.q
     total = _check_cap(q, pi.N, cap)
     start = time.monotonic()
-    weigh = _weigher(P, pi, W).weigh
-    max_weight = pi.n * W.M_w
-
-    def sweep(lo: int, hi: int) -> np.ndarray:
-        return np.bincount(weigh(lo, hi), minlength=max_weight + 1)
-
+    kernel = _weigher(P, pi, W)
     ranges = _ranges(total)
-    hist = np.zeros(max_weight + 1, dtype=np.int64)
     if threads > 1 and len(ranges) > 1:  # a pool for one range only costs
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(lambda rg: sweep(*rg), ranges):
-                hist += part
+            counts = sum(pool.map(kernel.count, *zip(*ranges)))
     else:
-        for lo, hi in ranges:
-            hist += sweep(lo, hi)
+        counts = sum(kernel.count(lo, hi) for lo, hi in ranges)
+    hist = kernel.fold(counts)
     histogram = {r: int(c) for r, c in enumerate(hist)}
     return OracleResult(
         histogram=histogram,
@@ -297,8 +328,7 @@ def oracle_distribution(
         fingerprint=_fingerprint(P, pi, W),
         q=q,
         N=pi.N,
-        n=pi.n,
-        max_weight=max_weight,
+        max_weight=len(hist) - 1,
     )
 
 

@@ -33,6 +33,12 @@ and its MDS leg must equal singleton_report's; each input that breaks one
 part of it (the chain, equal blocks, s | k, the unique ideal, MDS) must
 raise the same error type from every entry point that reads it.
 
+The sweep kernel must weigh every index range like pwpi_weight, and
+oracle_distribution, with a chunk that splits the space into several
+ranges whose boundaries fall inside a leading index, must give the
+histogram of pwpi_weight over every vector, on one thread and on two,
+with the profile table and without it.
+
 table_to_json must write the bytes of json.dumps(..., indent=2) for every
 drawn table, with its counts and with its running sums as ball volumes.
 """
@@ -46,7 +52,7 @@ from math import prod
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import posetblock as pb
@@ -519,6 +525,51 @@ def test_kernel_weighs_every_range_like_pwpi_weight(case):
         for lo, hi in ranges:
             want = [pb.pwpi_weight(P, pi, W, _vector(v, W.q, pi.N)) for v in range(lo, hi)]
             assert weigh(lo, hi).tolist() == want, (lo, hi)
+
+
+@st.composite
+def sweep_cases(draw):
+    """(P, pi, W, chunk, table_path): a space of at most 3^7 vectors and a
+    chunk that splits it into several ranges, with the suffix of the blocks
+    from some start >= 1 on filling part of it, so that a range boundary
+    falls inside a leading index; table_path says whether the chunk holds
+    every profile (the kernel's profile table) or not (np.unique)."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    P = draw(st.one_of(random_posets(5), hierarchical_posets(5)))
+    pi = _block_lengths(draw, P.n, q, KERNEL_SPACE)
+    W = _weight(draw, q)
+    table_path = draw(st.booleans())
+    profiles = len(set(W.table)) ** P.n
+    sizes = [q**k for k in pi.k]
+    chunks = []
+    for start in range(1, P.n):
+        span = prod(sizes[start:])
+        chunks += [
+            c
+            for c in range(span + 1, span * sizes[start - 1])
+            if c % span and (c >= profiles) == table_path
+        ]
+    assume(chunks)
+    return P, pi, W, draw(st.sampled_from(chunks)), table_path
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(sweep_cases())
+def test_sweep_counts_like_pwpi_weight(case):
+    # oracle_distribution counts every range's profile keys and weighs each
+    # profile once; the reference weighs every vector with pwpi_weight
+    P, pi, W, chunk, table_path = case
+    total = W.q**pi.N
+    want = dict.fromkeys(range(pi.n * W.M_w + 1), 0)
+    for v in range(total):
+        want[pb.pwpi_weight(P, pi, W, _vector(v, W.q, pi.N))] += 1
+    with mock.patch.object(pb.oracle, "_CHUNK", chunk):
+        assert (pb.oracle._weigher(P, pi, W).table is not None) == table_path
+        assert len(pb.oracle._ranges(total)) > 1
+        for threads in (1, 2):
+            res = pb.oracle_distribution(P, pi, W, threads=threads)
+            assert res.histogram == want, threads
+            assert res.total == total
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
