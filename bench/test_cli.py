@@ -14,14 +14,26 @@ cache of block class sizes is cleared before every round, as a fresh
 process starts with it empty.  Like the other bench modules, a rung calls
 only the public API, so -o pythonpath=TREE/src times another tree, and
 each rung stores the process's peak RSS (MiB) in its extra_info.
+
+The cold rungs time what a CLI process costs from its start: each round
+starts a fresh interpreter that imports posetblock.cli from the tree under
+test (the src directory the package was imported from) and makes one
+main() call.  They store the child's largest peak RSS over the rounds,
+which the child reads from its own VmHWM (Linux /proc) as it exits.  Not
+RUSAGE_CHILDREN: its ru_maxrss also counts the resident memory of the
+process that forked the child, here the whole pytest process.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
 import resource
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -81,3 +93,46 @@ def test_rung(benchmark, tmp_path, rung):
         assert payload["match"]
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     benchmark.extra_info["peak_rss_mib"] = round(peak, 1)
+
+
+# cold rung: (command, config, rounds), each round one fresh interpreter
+COLD_RUNGS = {
+    "cold_distribution_fence8_q31": ("distribution", FENCE8, 20),
+    "cold_check_code_ex69": ("check-code", EX69, 20),
+}
+COLD_MAIN = """
+import sys
+from posetblock import cli
+code = cli.main(sys.argv[1:])
+try:  # the peak of this process image alone, in KiB
+    with open("/proc/self/status") as fh:
+        print(next(line for line in fh if line.startswith("VmHWM:")).split()[1], file=sys.stderr)
+except OSError:
+    pass
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("rung", list(COLD_RUNGS))
+def test_cold_rung(benchmark, tmp_path, rung):
+    command, config, rounds = COLD_RUNGS[rung]
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(config))
+    src = Path(pb.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-c", COLD_MAIN, command, "--config", str(path)]
+    peaks_kib = []
+
+    def call():
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
+        peaks_kib.extend(int(line) for line in done.stderr.split())
+        return done
+
+    done = benchmark.pedantic(call, rounds=rounds, iterations=1, warmup_rounds=1)
+    payload = json.loads(done.stdout)
+    if command == "distribution":
+        assert len(payload["counts"]) == 121
+    else:
+        assert payload["k"] == 1
+    if peaks_kib:
+        benchmark.extra_info["child_peak_rss_mib"] = round(max(peaks_kib) / 1024, 1)

@@ -5,7 +5,12 @@ labels and a symbol weight induce a metric whose complete weight
 distribution, ball volumes and code-theoretic structure (I-perfect,
 r-perfect, MDS, duality) this package computes exactly, with a brute
 enumeration oracle validating every closed form at desk scale.
+
+The oracle is the one module that imports numpy, so its names are served
+on first use (a module __getattr__): the closed forms run without numpy.
 """
+
+from importlib import import_module
 
 from .codes import (
     CodeReport,
@@ -52,14 +57,6 @@ from .errors import (
     TrivialCodeError,
     WeightWarning,
 )
-from .oracle import (
-    MetricAxiomReport,
-    OracleResult,
-    PerfectnessResult,
-    oracle_distribution,
-    oracle_metric_axioms,
-    oracle_perfectness,
-)
 from .poset import (
     Ideal,
     IdealFamily,
@@ -97,3 +94,20 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = (
+    "MetricAxiomReport",
+    "OracleResult",
+    "PerfectnessResult",
+    "oracle_distribution",
+    "oracle_metric_axioms",
+    "oracle_perfectness",
+)
+
+
+def __getattr__(name: str):
+    """The oracle submodule and its public names, imported on first use."""
+    if name == "oracle" or name in _ORACLE_NAMES:
+        oracle = import_module(f"{__name__}.oracle")
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

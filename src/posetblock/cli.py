@@ -32,7 +32,6 @@ from .distribution import (
     table_to_json,
 )
 from .errors import ConfigError, ExplosionError, PosetBlockError
-from .oracle import oracle_distribution
 from .poset import IDEAL_CAP_DEFAULT, Ideal, classify, ideal_closure, ideals_with_sum
 
 EXIT_OK = 0
@@ -65,6 +64,8 @@ def _emit(payload) -> None:
 
 def _compute_table(cfg: InstanceConfig, method: str, args):
     if method == "oracle":  # the only reader of --threads
+        from .oracle import oracle_distribution
+
         threads = _auto_threads(args.threads)
         res = oracle_distribution(
             cfg.poset, cfg.pi, cfg.weight, cap=args.cap_space, threads=threads

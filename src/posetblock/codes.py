@@ -24,8 +24,6 @@ from dataclasses import asdict, dataclass
 from itertools import accumulate
 from math import isqrt
 
-import numpy as np
-
 from .distribution import ball_volume, distribution
 from .errors import (
     BoundsError,
@@ -38,7 +36,6 @@ from .errors import (
     TrivialCodeError,
     integer,
 )
-from .oracle import _r_ball_perfectness, _ranges, _row_weigher, space_cap
 from .poset import (
     IDEAL_CAP_DEFAULT,
     Ideal,
@@ -126,18 +123,14 @@ def linear_code(q: int, rows, n_cols: int | None = None) -> LinearCode:
     return LinearCode(q=q, n_cols=n_cols, generator=tuple(tuple(r) for r in reduced))
 
 
-def _codeword_matrix(C: LinearCode, cap: int, start: int = 0) -> Iterator[np.ndarray]:
-    """The codeword matrix a chunk at a time: the codewords from
-    coefficient index start on, in lexicographic coefficient order (index 0
-    is the zero codeword), as the rows of int64 matrices of at most a chunk
-    of symbols, each made from its own range of coefficient indices."""
+def _codeword_matrix(C: LinearCode, cap: int, start: int = 0) -> Iterator:
+    """The codeword matrix a chunk at a time, from coefficient index start
+    on, under the codeword cap: the oracle's `_codeword_rows`."""
     if C.size > cap:
         raise ExplosionError(f"q^k = {C.size} codewords exceed cap {cap}")
-    G = np.array(C.generator, dtype=np.int64).reshape(C.k, C.n_cols)
-    places = C.q ** np.arange(C.k - 1, -1, -1, dtype=np.int64)
-    for lo, hi in _ranges(C.size, C.n_cols, start):
-        index = np.arange(lo, hi, dtype=np.int64)
-        yield (index[:, None] // places % C.q) @ G % C.q
+    from .oracle import _codeword_rows
+
+    return _codeword_rows(C, start)
 
 
 def codewords(C: LinearCode, *, cap: int = CODEWORD_CAP_DEFAULT) -> tuple:
@@ -159,6 +152,8 @@ def min_distance(
     check_shape(pi, P.n, C)
     if C.k == 0:
         raise TrivialCodeError("the zero code has no nonzero codeword")
+    from .oracle import _row_weigher
+
     # the generator has full rank, so every codeword but the first is nonzero
     weigh = _row_weigher(P, pi, W)
     return min(int(weigh(words).min()) for words in _codeword_matrix(C, cap, start=1))
@@ -218,6 +213,8 @@ def is_r_perfect(
     check_shape(pi, P.n, C)
     if r < 0 or r > pi.n * W.M_w:
         raise BoundsError(f"radius {r} outside [0, {pi.n * W.M_w}]")
+    from .oracle import space_cap
+
     volume = ball_volume(distribution(P, pi, W), r)
     fills = C.size * volume == C.q**pi.N
     if not fills and C.q**pi.N > space_cap(cap):
@@ -264,6 +261,8 @@ def _r_balls_disjoint(C, r, P, pi, W, cap, codeword_cap):
     minimum distance > 2r (by translation invariance the least pairwise
     distance is the least nonzero codeword weight), else ExplosionError.
     """
+    from .oracle import space_cap
+
     if C.q**pi.N > space_cap(cap):
         if C.k == 0 or _distance_certifies(C, r, P, pi, W, codeword_cap):
             return True, None
@@ -274,6 +273,14 @@ def _r_balls_disjoint(C, r, P, pi, W, cap, codeword_cap):
     sweep = _r_ball_perfectness(C, P, pi, W, r, cap=cap)
     res = sweep[1]  # None: overlap by pigeonhole
     return res is not None and res.disjoint, sweep
+
+
+def _r_ball_perfectness(C, P, pi, W, r, *, cap=None):
+    """The oracle's sweep behind the r-ball verdicts, (|B_r(0)|, per-coset
+    result or None): oracle._r_ball_perfectness, imported on first use."""
+    from .oracle import _r_ball_perfectness as sweep
+
+    return sweep(C, P, pi, W, r, cap=cap)
 
 
 def _distance_certifies(C, r, P, pi, W, codeword_cap) -> bool:

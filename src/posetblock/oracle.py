@@ -27,6 +27,10 @@ the r-ball is a union of boxes, one per block-weight profile of weight
 <= r in the kernel's profile table.  Otherwise it is marked in one sweep
 of the space.  Either way its vectors are keyed by coset representative,
 read off the code's stored echelon form.
+
+This is the one module of the package that imports numpy.  The others
+import it only where a brute-force path runs (the package serves its names
+on first use), so the closed forms run without numpy loaded.
 """
 
 from __future__ import annotations
@@ -109,20 +113,18 @@ def _rank_tables(pi: LabelMap, W: WeightModel) -> tuple[np.ndarray, list[np.ndar
     """(levels, ranks): the distinct symbol weights in ascending order, and
     for each block the rank in levels of the weight of each of its q^k_i
     values, by literal enumeration: the largest rank among the block code's
-    base-q digits.  A block of k >= 1 symbols attains every symbol weight,
-    so levels is the one scale of every block.
+    base-q digits.  A code of k symbols is a code of k - 1 symbols and one
+    more, so the ranks of length k are the outer maximum of those of length
+    k - 1 and the symbol ranks, in odometer order; each length is built
+    once.  A block of k >= 1 symbols attains every symbol weight, so levels
+    is the one scale of every block.
     """
     levels = np.unique(W.table)
     symbol_rank = np.searchsorted(levels, W.table)
-    out = []
-    for k in pi.k:
-        codes = np.arange(W.q**k, dtype=np.int64)
-        rank = np.zeros(W.q**k, dtype=np.int64)
-        for t in range(k):
-            digit = (codes // (W.q ** (k - 1 - t))) % W.q
-            np.maximum(rank, symbol_rank[digit], out=rank)
-        out.append(rank)
-    return levels, out
+    by_length = [np.zeros(1, dtype=np.int64)]
+    for _ in range(max(pi.k)):
+        by_length.append(np.maximum.outer(by_length[-1], symbol_rank).ravel())
+    return levels, [by_length[k] for k in pi.k]
 
 
 def _order_matrices(P: Poset) -> tuple[np.ndarray, np.ndarray]:
@@ -151,11 +153,23 @@ def _index_places(pi: LabelMap, q: int) -> tuple[list[int], list[int]]:
     return sizes, [q ** (pi.N - o - k) for o, k in zip(pi.offsets, pi.k)]
 
 
-def _ranges(total: int, width: int = 1, start: int = 0) -> list[tuple[int, int]]:
-    """Index ranges [lo, hi) that cover [start, total), each of at most a
-    chunk of symbols in rows of width symbols (at least one row)."""
-    step = max(1, _CHUNK // max(1, width))
-    return [(lo, min(lo + step, total)) for lo in range(start, total, step)]
+def _ranges(total: int) -> list[tuple[int, int]]:
+    """Index ranges [lo, hi) that cover [0, total), each of at most a chunk."""
+    return [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
+
+
+def _codeword_rows(code, start: int) -> Iterator[np.ndarray]:
+    """The codewords of a linear code from coefficient index start on, in
+    lexicographic coefficient order (index 0 is the zero codeword), as the
+    rows of int64 matrices of at most a chunk of symbols (at least one
+    row), each made from its own range of coefficient indices."""
+    q, k, size = code.q, code.k, code.size
+    G = np.array(code.generator, dtype=np.int64).reshape(k, code.n_cols)
+    places = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    step = max(1, _CHUNK // max(1, code.n_cols))
+    for lo in range(start, size, step):
+        index = np.arange(lo, min(lo + step, size), dtype=np.int64)
+        yield (index[:, None] // places % q) @ G % q
 
 
 def _check_cap(q: int, N: int, cap: int | None) -> int:
@@ -399,12 +413,15 @@ def _ball(
         keys = np.flatnonzero(kernel.table <= radius)
         radix = kernel.radix
         key_places = [radix ** (pi.n - 1 - i) for i in range(pi.n)]
-        groups = []
+        grouped = {}  # block length -> (codes ordered by rank, group starts)
+        for k, rank in zip(pi.k, kernel.ranks):
+            if k not in grouped:
+                starts = np.zeros(radix + 1, dtype=np.int64)
+                np.cumsum(np.bincount(rank, minlength=radix), out=starts[1:])
+                grouped[k] = (np.argsort(rank, kind="stable"), starts)
+        groups = [grouped[k] for k in pi.k]
         box_sizes = np.ones(len(keys), dtype=np.int64)
-        for rank, kp in zip(kernel.ranks, key_places):
-            starts = np.zeros(radix + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rank, minlength=radix), out=starts[1:])
-            groups.append((np.argsort(rank, kind="stable"), starts))
+        for (_, starts), kp in zip(groups, key_places):
             group = keys // kp % radix
             box_sizes *= starts[group + 1] - starts[group]
         size = int(box_sizes.sum())

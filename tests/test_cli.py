@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
 import importlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -651,3 +656,58 @@ def test_config_errors_exit_2(tmp_path, capsys, command, text, message):
     code, out, err = run(capsys, command, "--config", str(path))
     assert (code, out) == (2, "")
     assert message in err
+
+
+# run in a fresh interpreter: argv[1] is a config with a code and an ideal
+NO_NUMPY_SCRIPT = """
+import contextlib, io, sys
+
+import posetblock as pb
+import posetblock.cli
+from posetblock.config import load_config
+
+path = sys.argv[1]
+cfg = load_config(path)
+assert cfg.code is not None and cfg.ideal_members is not None
+for argv in (["distribution"], ["ball"], ["ball", "--radius", "2"],
+             ["classify"], ["construct"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert posetblock.cli.main([*argv, "--config", path]) == 0, argv
+    assert "numpy" not in sys.modules, argv
+from posetblock import (MetricAxiomReport, OracleResult, PerfectnessResult,
+                        oracle_metric_axioms, oracle_perfectness)
+assert callable(pb.oracle_distribution) and pb.oracle.__name__ == "posetblock.oracle"
+assert OracleResult is pb.oracle.OracleResult and oracle_perfectness is pb.oracle.oracle_perfectness
+with contextlib.redirect_stdout(io.StringIO()):
+    assert posetblock.cli.main(["oracle-compare", "--config", path]) == 0
+try:
+    pb.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("an unknown attribute resolved")
+print("ok")
+"""
+
+
+def test_closed_form_commands_never_load_numpy(tmp_path):
+    # only the oracle imports numpy, and only the brute-force paths import the oracle
+    src = Path(pb.__file__).resolve().parents[1]
+    importers = []
+    for module in sorted((src / "posetblock").glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.append(module.name)
+    assert importers == ["oracle.py"]
+    path = tmp_path / "coded.json"
+    path.write_text(json.dumps(dict(EX69, q=5, pi=[1, 1, 1, 1, 1], ideal=[1, 2, 4],
+                                    code={"generator": [[1, 0, 0, 1, 1]]})))
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", NO_NUMPY_SCRIPT, str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
