@@ -39,6 +39,13 @@ def _four_blocks_5e10():
     return P, pb.label_map([3, 3, 2, 2]), pb.lee_weight(5)
 
 
+def _one_chunk_8e6():
+    """Z_8^6 on 3 elements with 1 < 2, blocks of 3, 2, 1, Lee weight: 2^18
+    vectors, one chunk, so the keys are the kernel's outer sum alone."""
+    P = pb.build_poset(3, [(1, 2)])
+    return P, pb.label_map([3, 2, 1]), pb.lee_weight(8)
+
+
 def _no_table_11e6():
     """Z_11^6 on a 6-chain with blocks of 1, custom weight w(a) = a: 11 symbol
     weights, so 11^6 profiles, more than a chunk holds, and no table."""
@@ -52,6 +59,7 @@ def _no_table_11e6():
 RUNGS = {
     "sweep_chain_7e8": _chain_7e8,
     "sweep_four_blocks_5e10": _four_blocks_5e10,
+    "sweep_one_chunk_8e6": _one_chunk_8e6,
     "sweep_no_table_11e6": _no_table_11e6,
 }
 

@@ -9,8 +9,10 @@ profile's weight is computed by the definitional closure/maximals rule.
 One kernel does this keying and weighing for every sweep.  A vector's
 profile key is a sum of per-block terms, and the trailing blocks run
 fastest, so the terms of the longest suffix of blocks that fits a chunk
-are summed once into an outer-sum array, and a range's keys add that
-array to the key of each leading index it meets.  The histogram counts
+are summed once into an outer-sum array, built from the last block
+backwards, and a range's keys add that array to the key of each leading
+index it meets; a space of one range has no leading index, and its keys
+are the outer sum itself.  The histogram counts
 every vector's key, then weighs each counted profile once: it adds up
 the number of vectors per profile key over the ranges and folds those
 counts into weights at the end (with a profile table), or weighs each
@@ -193,9 +195,10 @@ class _Kernel(NamedTuple):
     block 0 most significant; radix is the number of distinct symbol
     weights.  table holds the weight of every profile key when there are
     at most a chunk of them, else None.  The keys of a range are sums of a
-    leading part and a trailing part (see _weigher); the trailing part is
-    built on the first weigh or count call, so a kernel read only for its
-    table costs no sweep set-up.
+    leading part and a trailing part (see _weigher), or the trailing part
+    alone when the space is one range; the trailing part is built on the
+    first weigh or count call, so a kernel read only for its table costs
+    no sweep set-up.
     """
 
     weigh: Callable[[int, int], np.ndarray]
@@ -232,10 +235,14 @@ def _weigher(P: Poset, pi: LabelMap, W: WeightModel) -> _Kernel:
     In odometer order the trailing blocks run fastest, so index
     h * span + t, with span the size of the longest suffix of blocks that
     fits a chunk, has key head[h] + tail[t]: tail is the outer sum of the
-    suffix blocks' key terms, built once, and head[h] sums the leading
-    blocks' terms of the leading index h.  The keys of [lo, hi) are the
-    rows of head[:, None] + tail for the leading indices it meets, sliced
-    to the range, so only those (hi - lo) / span indices are divided.
+    suffix blocks' key terms, built once from the last block backwards
+    (each step puts the next block's terms on the outer axis, so the long
+    axis is the inner one), and head[h] sums the leading blocks' terms of
+    the leading index h.  The keys of [lo, hi) are the rows of
+    head[:, None] + tail for the leading indices it meets, sliced to the
+    range, so only those (hi - lo) / span indices are divided.  When the
+    suffix is every block, the space is one range, and its keys are
+    tail[lo:hi] with no head added.
     """
     levels, ranks = _rank_tables(pi, W)
     sizes, places = _index_places(pi, W.q)
@@ -251,10 +258,12 @@ def _weigher(P: Poset, pi: LabelMap, W: WeightModel) -> _Kernel:
         if not built:
             start = _suffix_start(sizes)
             tail = np.zeros(1, dtype=np.int64)
-            for i in range(start, pi.n):
-                tail = (tail[:, None] + key_tables[i]).ravel()
+            for i in reversed(range(start, pi.n)):
+                tail = (key_tables[i][:, None] + tail).ravel()
             built.append((start, tail))
         start, tail = built[0]
+        if start == 0:  # the whole space is one range, keyed by tail alone
+            return tail[lo:hi]
         span = len(tail)
         h0, h1 = lo // span, -(-hi // span)
         head = np.arange(h0, h1, dtype=np.int64)
@@ -316,8 +325,9 @@ def oracle_distribution(
 
     Every vector is keyed by its own block-weight profile.  The kernel
     counts the keys of each index range, the ranges' counts are summed in
-    int64 (threads > 1 counts ranges in a thread pool), and the sum is
-    folded into the histogram once.
+    int64, and the sum is folded into the histogram once.  The first range
+    is counted on the calling thread, which builds the kernel's outer sum;
+    with threads > 1 the other ranges are then counted in a thread pool.
     """
     check_shape(pi, P.n)
     threads = integer(threads, "thread count")
@@ -327,12 +337,13 @@ def oracle_distribution(
     total = _check_cap(q, pi.N, cap)
     start = time.monotonic()
     kernel = _weigher(P, pi, W)
-    ranges = _ranges(total)
-    if threads > 1 and len(ranges) > 1:  # a pool for one range only costs
+    first, *rest = _ranges(total)
+    counts = kernel.count(*first)  # builds the kernel's outer sum before a worker reads it
+    if threads > 1 and len(rest) > 1:  # a pool for one range only costs
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = sum(pool.map(kernel.count, *zip(*ranges)))
+            counts += sum(pool.map(kernel.count, *zip(*rest)))
     else:
-        counts = sum(kernel.count(lo, hi) for lo, hi in ranges)
+        counts += sum(kernel.count(lo, hi) for lo, hi in rest)
     hist = kernel.fold(counts)
     histogram = {r: int(c) for r, c in enumerate(hist)}
     return OracleResult(

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -70,6 +72,28 @@ def test_threads_deterministic(ex45):
     assert single.histogram == multi.histogram
     assert single.fingerprint == multi.fingerprint
     assert single.to_table().counts == pb.distribution_general(P, pi, W).counts
+
+
+def test_pool_builds_the_outer_sum_once(monkeypatch):
+    # the calling thread counts the first range, and so builds the kernel's
+    # outer sum, before the pool's workers read it; the slowed suffix
+    # search would let two workers that both found it unbuilt build it twice
+    P = pb.build_poset(4, [(1, 3), (2, 3)])
+    pi = pb.label_map([2, 1, 2, 1])
+    W = pb.lee_weight(5)
+    want = pb.oracle_distribution(P, pi, W).histogram
+    suffix_start = pb.oracle._suffix_start
+
+    def slow_suffix_start(sizes):
+        time.sleep(0.05)
+        return suffix_start(sizes)
+
+    spy = mock.Mock(side_effect=slow_suffix_start)
+    monkeypatch.setattr(pb.oracle, "_CHUNK", 1000)
+    monkeypatch.setattr(pb.oracle, "_suffix_start", spy)
+    assert len(pb.oracle._ranges(W.q**pi.N)) == 16
+    assert pb.oracle_distribution(P, pi, W, threads=2).histogram == want
+    spy.assert_called_once_with([25, 5, 25, 5])
 
 
 def test_thread_counts_are_at_least_one(ex45):

@@ -487,6 +487,14 @@ def _vector(index, q, N):
     return [index // q ** (N - 1 - c) % q for c in range(N)]
 
 
+def _pwpi_histogram(P, pi, W):
+    """The weight histogram of the whole space, one pwpi_weight per vector."""
+    hist = dict.fromkeys(range(pi.n * W.M_w + 1), 0)
+    for v in range(W.q**pi.N):
+        hist[pb.pwpi_weight(P, pi, W, _vector(v, W.q, pi.N))] += 1
+    return hist
+
+
 @st.composite
 def kernel_cases(draw):
     """(P, pi, W, start, chunk, ranges): a space of at most 3^7 vectors, a
@@ -560,9 +568,7 @@ def test_sweep_counts_like_pwpi_weight(case):
     # profile once; the reference weighs every vector with pwpi_weight
     P, pi, W, chunk, table_path = case
     total = W.q**pi.N
-    want = dict.fromkeys(range(pi.n * W.M_w + 1), 0)
-    for v in range(total):
-        want[pb.pwpi_weight(P, pi, W, _vector(v, W.q, pi.N))] += 1
+    want = _pwpi_histogram(P, pi, W)
     with mock.patch.object(pb.oracle, "_CHUNK", chunk):
         assert (pb.oracle._weigher(P, pi, W).table is not None) == table_path
         assert len(pb.oracle._ranges(total)) > 1
@@ -570,6 +576,39 @@ def test_sweep_counts_like_pwpi_weight(case):
             res = pb.oracle_distribution(P, pi, W, threads=threads)
             assert res.histogram == want, threads
             assert res.total == total
+
+
+@st.composite
+def one_range_cases(draw):
+    """(P, pi, W): a space of at most 3^7 vectors, one sweep range, with its
+    block lengths in ascending or in descending order."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    P = draw(st.one_of(random_posets(5), hierarchical_posets(5)))
+    ks = sorted(_block_lengths(draw, P.n, q, KERNEL_SPACE).k, reverse=draw(st.booleans()))
+    return P, pb.label_map(ks), _weight(draw, q)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(one_range_cases())
+def test_one_range_sweep_counts_like_pwpi_weight(case):
+    # a space of one range is keyed by the kernel's outer sum alone.  It
+    # holds every profile (radix^n <= q^N), so oracle_distribution takes
+    # the table path; a kernel built under a chunk smaller than the
+    # profiles takes the np.unique path, and it builds its outer sum on
+    # first use, here under the full chunk, so it still sums the whole space
+    P, pi, W = case
+    total = W.q**pi.N
+    want = _pwpi_histogram(P, pi, W)
+    assert pb.oracle._ranges(total) == [(0, total)]
+    assert pb.oracle._suffix_start([W.q**k for k in pi.k]) == 0
+    for threads in (1, 2):
+        res = pb.oracle_distribution(P, pi, W, threads=threads)
+        assert res.histogram == want, threads
+    with mock.patch.object(pb.oracle, "_CHUNK", len(set(W.table)) ** pi.n - 1):
+        kernel = pb.oracle._weigher(P, pi, W)
+    assert kernel.table is None
+    hist = kernel.fold(kernel.count(0, total))
+    assert dict(enumerate(hist.tolist())) == want
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
