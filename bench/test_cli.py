@@ -9,9 +9,10 @@ the count and writing the artifact.  Run them from the repository root:
 
 The table rungs use an 8-element fence with blocks 1, 2 repeating and Lee
 weight at q = 31, so the table has 8 * 15 + 1 = 121 entries; the code
-rungs use the paper's Example 6.9 (Z_7^8, a dimension-1 code).  The lru
-cache of block class sizes is cleared before every round, as a fresh
-process starts with it empty.  Like the other bench modules, a rung calls
+rungs use the paper's Example 6.9 (Z_7^8, a dimension-1 code).  The
+package holds no cache; on an older tree whose block_class_size has an
+lru cache, that cache is cleared before every round, as a fresh process
+starts with it empty.  Like the other bench modules, a rung calls
 only the public API, so -o pythonpath=TREE/src times another tree, and
 each rung stores the process's peak RSS (MiB) in its extra_info.
 
@@ -78,7 +79,7 @@ def test_rung(benchmark, tmp_path, rung):
 
     code, out = benchmark.pedantic(
         call,
-        setup=pb.block_class_size.cache_clear,
+        setup=getattr(pb.block_class_size, "cache_clear", None),
         rounds=rounds,
         iterations=1,
         warmup_rounds=1,

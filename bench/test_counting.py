@@ -5,7 +5,9 @@ these posets).  The fences and the bipartite poset are no disjoint union
 and no ordinal sum, so the series-parallel fold has to split its pieces on
 a maximal element; they run at q = 7, and the fence16 again at q = 101.
 The wide tables at q = 101 (Lee, M_w = 50) are ex45 and the 64-antichain,
-whose fold is one union of 64 parts, joined in halves.
+whose fold is one union of 64 parts, joined in halves.  The one-element
+Lee table at q = 20,011 (M_w = 10,005) times the block class sizes alone:
+one per weight class, read from the weight model's prefix sums.
 Run them from the repository root:
 
     python -m pytest bench/test_counting.py --benchmark-json=out.json
@@ -57,6 +59,7 @@ RUNGS = {
     "ex45_q101": (lambda: pb.build_poset(5, [(1, 2)]), [2, 3, 4, 2, 2], 101),
     "fence16_q101": (lambda: _fence(16), None, 101),
     "antichain64_q101": (lambda: pb.build_poset(64), None, 101),
+    "lee_q20011_one_element": (lambda: pb.build_poset(1), [1], 20011),
 }
 
 

@@ -48,8 +48,11 @@ def parse_config(obj: dict) -> InstanceConfig:
         if "ideal" in obj:
             ideal_members = tuple(obj["ideal"])
             ideal_closure(poset, ideal_members)  # each member an integer in [1, n]
+        caps_obj = obj.get("caps", {})
+        if not isinstance(caps_obj, dict):
+            raise ConfigError(f"caps must be an object, got {caps_obj!r}")
         caps = {}
-        for key, value in obj.get("caps", {}).items():
+        for key, value in caps_obj.items():
             if key not in ("ideals", "space"):
                 raise ConfigError(f"unknown cap {key!r}; the caps are ideals, space")
             if value is not None:  # null means unset

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import BoundsError, InvalidWeightError, WeightWarning, integer
@@ -25,15 +25,10 @@ class WeightModel:
     m_w: int  # min nonzero weight
     M_w: int  # max weight
     class_sizes: tuple[int, ...]  # class_sizes[r] = |D_r|, 0 <= r <= M_w
+    prefix: tuple[int, ...]  # prefix[r + 1] = |D_0| + ... + |D_r|, prefix[0] = 0
 
     def weight(self, a: int) -> int:
         return self.table[a % self.q]
-
-    def prefix(self, r: int) -> int:
-        """|D_0| + ... + |D_r| (0 for r < 0)."""
-        if r < 0:
-            return 0
-        return sum(self.class_sizes[: r + 1])
 
 
 def _alphabet(q: int) -> int:
@@ -58,7 +53,8 @@ def _derive(q: int, table: Sequence[int], name: str) -> WeightModel:
     for v in table:
         sizes[v] += 1
     return WeightModel(
-        q=q, table=table, name=name, m_w=m_w, M_w=M_w, class_sizes=tuple(sizes)
+        q=q, table=table, name=name, m_w=m_w, M_w=M_w, class_sizes=tuple(sizes),
+        prefix=(0, *accumulate(sizes)),
     )
 
 
@@ -109,7 +105,6 @@ def weight_from_json(q: int, spec) -> WeightModel:
     raise InvalidWeightError(f"unrecognized weight spec: {spec!r}")
 
 
-@lru_cache(maxsize=None)
 def block_class_size(W: WeightModel, r: int, k: int) -> int:
     """|D_r^k|: number of k-tuples over Z_q whose max symbol weight is exactly r.
 
@@ -120,4 +115,4 @@ def block_class_size(W: WeightModel, r: int, k: int) -> int:
         raise BoundsError(f"class index {r} outside [0, {W.M_w}]")
     if k < 1:
         raise BoundsError(f"block length {k} < 1")
-    return W.prefix(r) ** k - W.prefix(r - 1) ** k
+    return W.prefix[r + 1] ** k - W.prefix[r] ** k

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,23 @@ def test_distribution_antichain_hamming(tmp_path, capsys):
 
     for entry in payload["counts"]:
         assert int(entry["count"]) == comb(4, entry["r"]) * 8 ** entry["r"]
+
+
+def test_wide_alphabet_one_element(tmp_path, capsys):
+    # one block class size per weight class, each two powers of stored
+    # prefix sums, so the time is linear in M_w = 50,001
+    W = pb.lee_weight(100_003)
+    assert W.class_sizes[:3] == (1, 2, 2) and len(W.class_sizes) == 50_002
+    path = _write(tmp_path, {"q": W.q, "poset": {"n": 1, "relations": []}, "pi": [1]})
+    for command, key, expected in (("distribution", "count", W.class_sizes),
+                                   ("ball", "volume", accumulate(W.class_sizes))):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, command, "--config", path)
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        got = [int(entry[key]) for entry in json.loads(out)[key + "s"]]
+        assert got == list(expected), command
+        assert elapsed < 1.0, (command, elapsed)
 
 
 def test_ball_command(cfg45, capsys):
@@ -648,6 +666,8 @@ def test_reused_parser_keeps_no_state(cfg45, capsys):
         ("distribution", json.dumps([EX45]), "must be a JSON object"),
         ("check-code", json.dumps(EX45), "check-code needs a code"),
         ("construct", json.dumps(EX45), "construct needs an ideal"),
+        *[("distribution", json.dumps(dict(EX45, caps=caps)), "caps must be an object")
+          for caps in ([], True, 1, 0.5, None)],
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, command, text, message):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
 import time
 import tracemalloc
 import warnings
@@ -59,8 +60,20 @@ def test_min_distance_examples(ex69, ex73):
 
 
 def test_codewords_has_no_cache():
-    # a cache could pin 64 tables of up to 10^6 codeword tuples each
-    assert not hasattr(pb.codewords, "cache_info")
+    # a cache could pin 64 tables of up to 10^6 codeword tuples each, and
+    # one keyed on a WeightModel hashes its q-entry table on every lookup;
+    # with none in the package, a caller has nothing to clear between jobs
+    import posetblock.cli
+    import posetblock.oracle
+
+    cached = [
+        f"{name}.{attr}"
+        for name, module in list(sys.modules.items())
+        if name == "posetblock" or name.startswith("posetblock.")
+        for attr, obj in vars(module).items()
+        if hasattr(obj, "cache_clear")
+    ]
+    assert cached == []
 
 
 def test_min_distance_minimum_in_a_later_chunk(monkeypatch):

@@ -16,6 +16,7 @@ def test_lee_weight_q7():
     W = pb.lee_weight(7)
     assert W.M_w == 3 and W.m_w == 1
     assert W.class_sizes == (1, 2, 2, 2)
+    assert W.prefix == (0, 1, 3, 5, 7)
 
 
 def test_lee_weight_small():
@@ -31,6 +32,8 @@ def test_hamming_weight():
     W = pb.hamming_weight(7)
     assert W.m_w == W.M_w == 1
     assert W.class_sizes == (1, 6)
+    W3 = pb.hamming_weight(3)
+    assert W3.class_sizes == (1, 2) and W3.prefix == (0, 1, 3)
     assert pb.hamming_weight(2).table == pb.lee_weight(2).table
 
 
@@ -133,8 +136,9 @@ def test_block_class_size_edges():
         assert pb.block_class_size(W, 0, k) == 1
     for r in range(W.M_w + 1):
         assert pb.block_class_size(W, r, 1) == W.class_sizes[r]
-    with pytest.raises(pb.BoundsError):
-        pb.block_class_size(W, 4, 2)
+    for r in (-1, 4):
+        with pytest.raises(pb.BoundsError):
+            pb.block_class_size(W, r, 2)
     with pytest.raises(pb.BoundsError):
         pb.block_class_size(W, 1, 0)
 
