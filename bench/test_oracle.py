@@ -10,9 +10,11 @@ Like bench/test_perfectness.py, every rung calls only the public API, so
 rung in its own process on two trees.  Each rung stores the process's peak
 RSS (MiB), the sweep rate (vectors per second at the median round), the
 number of block-weight profiles (radix^n, radix the number of distinct
-symbol weights) and whether the kernel keeps a table of them (at most one
-sweep chunk of profiles), in its extra_info, so the JSON says which path
-each rung timed.
+symbol weights), whether the kernel keeps a table of them (at most one
+sweep chunk of profiles) and the bytes per profile key (1 for uint8 keys,
+a table of at most 256 profiles on a tree that narrows them, else 8 for
+int64), in its extra_info, so the JSON says which path each rung timed.
+Every figure is a number, as bench/compare.py takes their median.
 """
 
 from __future__ import annotations
@@ -46,6 +48,13 @@ def _one_chunk_8e6():
     return P, pb.label_map([3, 2, 1]), pb.lee_weight(8)
 
 
+def _lee_chain_11e6():
+    """Z_11^6 on a 6-chain with blocks of 1, Lee weight: 6 symbol weights,
+    so 6^6 = 46,656 profiles, a table too wide for byte keys."""
+    P = pb.build_poset(6, [(i, i + 1) for i in range(1, 6)])
+    return P, pb.label_map([1] * 6), pb.lee_weight(11)
+
+
 def _no_table_11e6():
     """Z_11^6 on a 6-chain with blocks of 1, custom weight w(a) = a: 11 symbol
     weights, so 11^6 profiles, more than a chunk holds, and no table."""
@@ -61,6 +70,7 @@ RUNGS = {
     "sweep_four_blocks_5e10": _four_blocks_5e10,
     "sweep_one_chunk_8e6": _one_chunk_8e6,
     "sweep_no_table_11e6": _no_table_11e6,
+    "sweep_lee_chain_11e6": _lee_chain_11e6,
 }
 
 
@@ -80,3 +90,5 @@ def test_rung(benchmark, rung):
     profiles = len(set(W.table)) ** pi.n
     benchmark.extra_info["profiles"] = profiles
     benchmark.extra_info["table_path"] = profiles <= pb.oracle._CHUNK
+    byte_keys = profiles <= min(getattr(pb.oracle, "_BYTE_KEYS", 0), pb.oracle._CHUNK)
+    benchmark.extra_info["key_bytes"] = 1 if byte_keys else 8

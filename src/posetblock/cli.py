@@ -27,6 +27,7 @@ from .distribution import (
     METHODS,
     applicable_methods,
     ball_volume,
+    count_text,
     distribution,
     table_to_csv,
     table_to_json,
@@ -96,7 +97,7 @@ def cmd_ball(cfg: InstanceConfig, args) -> int:
                 "N": table.N,
                 "method": table.method,
                 "radius": args.radius,
-                "volume": str(ball_volume(table, args.radius)),
+                "volume": count_text(ball_volume(table, args.radius)),
             }
         )
     return EXIT_OK

@@ -169,6 +169,18 @@ def applicable_methods(P: Poset, pi: LabelMap) -> list[str]:
     return ["general", "chain"] if is_chain(P) else ["general"]
 
 
+def count_text(count: int) -> str:
+    """str(count), also for a count past the interpreter's int-to-str digit
+    limit (4,300 digits by default): decimal converts ints without that
+    limit, and the limit itself is left as it is."""
+    try:
+        return str(count)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(count))
+
+
 def table_to_json_dict(table: DistributionTable) -> dict:
     """Counts serialized as decimal strings (they routinely exceed 64 bits)."""
     return {
@@ -176,15 +188,22 @@ def table_to_json_dict(table: DistributionTable) -> dict:
         "N": table.N,
         "method": table.method,
         "counts": [
-            {"r": r, "count": str(c)} for r, c in enumerate(table.counts)
+            {"r": r, "count": count_text(c)} for r, c in enumerate(table.counts)
         ],
     }
 
 
 def _count(value) -> int:
-    """A count read from JSON: a string of decimal digits or an integer."""
+    """A count read from JSON: a string of decimal digits or an integer.
+    Digits past the int-to-str limit are read through decimal, as
+    count_text writes them."""
     if isinstance(value, str) and value.isascii() and value.isdigit():
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:
+            from decimal import Decimal
+
+            return int(Decimal(value))
     return integer(value, "count")
 
 
@@ -209,10 +228,16 @@ def table_to_json(table: DistributionTable, key: str = "count", values=None) -> 
     shape: every row is formatted from one template, so the pure-Python
     indented encoder never runs, and the bytes are the encoder's.  values,
     one per r, replaces the counts; the CLI writes ball volumes as the
-    running sums of the counts under key "volume".
+    running sums of the counts under key "volume".  A value past the
+    int-to-str digit limit fails the template's %s, and the rows are then
+    written from count_text's digits.
     """
-    row = '    {\n      "r": %d,\n      "' + key + '": "%d"\n    }'
-    rows = ",\n".join(row % rv for rv in enumerate(table.counts if values is None else values))
+    row = '    {\n      "r": %d,\n      "' + key + '": "%s"\n    }'
+    values = table.counts if values is None else tuple(values)
+    try:
+        rows = ",\n".join(row % rv for rv in enumerate(values))
+    except ValueError:
+        rows = ",\n".join(row % rv for rv in enumerate(map(count_text, values)))
     return '{\n  "q": %d,\n  "N": %d,\n  "method": %s,\n  "%ss": [\n%s\n  ]\n}' % (
         table.q, table.N, json.dumps(table.method), key, rows)
 
@@ -222,5 +247,5 @@ def table_to_csv(table: DistributionTable) -> str:
     writer = csv.writer(buf)
     writer.writerow(["r", "count"])
     for r, c in enumerate(table.counts):
-        writer.writerow([r, str(c)])
+        writer.writerow([r, count_text(c)])
     return buf.getvalue()

@@ -16,9 +16,11 @@ are the outer sum itself.  The histogram counts
 every vector's key, then weighs each counted profile once: it adds up
 the number of vectors per profile key over the ranges and folds those
 counts into weights at the end (with a profile table), or weighs each
-range's distinct keys (without one).  Nothing here touches the ideal
-counting machinery or the code module, so agreement with the closed
-forms is a real theorem check.
+range's distinct keys (without one).  A table of at most 256 profiles
+keys its vectors in one byte each and counts them two at a time, as
+uint16 pairs; every other sweep keys them in int64.  Nothing here
+touches the ideal counting machinery or the code module, so agreement
+with the closed forms is a real theorem check.
 
 Perfectness verdicts count per coset instead of per codeword, using only
 the linearity of the code: r-balls and I-balls are both translates of a
@@ -55,6 +57,7 @@ from .weights import WeightModel
 SPACE_CAP_DEFAULT = 10**7
 _CHUNK = 1 << 18
 _INDEX_MAX = 2**63 - 1
+_BYTE_KEYS = 256  # profile tables up to this size key their vectors in uint8
 _WITNESSES = 20
 
 
@@ -194,11 +197,14 @@ class _Kernel(NamedTuple):
     the number whose base-radix digits are the blocks' ranks[i][code_i],
     block 0 most significant; radix is the number of distinct symbol
     weights.  table holds the weight of every profile key when there are
-    at most a chunk of them, else None.  The keys of a range are sums of a
-    leading part and a trailing part (see _weigher), or the trailing part
-    alone when the space is one range; the trailing part is built on the
-    first weigh or count call, so a kernel read only for its table costs
-    no sweep set-up.
+    at most a chunk of them, else None.  count keys a range in uint8 when
+    the table has at most 256 entries, and tallies the keys in pairs
+    (_count_byte_keys); weigh, and count on every other kernel, key in
+    int64.  The keys of a range are sums of a leading part and a trailing
+    part (see _weigher), or the trailing part alone when the space is one
+    range; the key tables and the trailing part are built per key dtype
+    on the first weigh or count call that needs it, so a kernel read only
+    for its table costs no sweep set-up.
     """
 
     weigh: Callable[[int, int], np.ndarray]
@@ -219,6 +225,21 @@ def _suffix_start(sizes: list[int]) -> int:
     return start
 
 
+def _count_byte_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    """np.bincount(keys, minlength=n) for uint8 keys below n <= 256, two
+    keys at a time: the even-length prefix, read as uint16, holds pairs
+    a + 256 b (or b + 256 a), one bincount of n * 256 bins counts them, and
+    the bins, read as an (n, 256) matrix, give each pair's high key by row
+    and its low key by column.  The fold is symmetric in the two bytes, so
+    byte order does not matter; an odd last key is counted on its own."""
+    even = len(keys) & ~1
+    pairs = np.bincount(keys[:even].view(np.uint16), minlength=n * 256).reshape(n, 256)
+    counts = pairs.sum(axis=1) + pairs.sum(axis=0)[:n]
+    if even < len(keys):
+        counts[keys[-1]] += 1
+    return counts
+
+
 def _weigher(P: Poset, pi: LabelMap, W: WeightModel) -> _Kernel:
     """Build the one weight kernel.
 
@@ -230,7 +251,13 @@ def _weigher(P: Poset, pi: LabelMap, W: WeightModel) -> _Kernel:
     the sweep; without it, count gives a range's weight histogram, adding
     each distinct key's count to its weight, and fold keeps the sum.
     Counts stay int64 throughout: a float bincount(weights=) is not exact
-    past 2^53, and a space may hold up to 2^63 - 1 vectors.
+    past 2^53, and a space may hold up to 2^63 - 1 vectors.  With a table
+    of at most 256 profiles every key fits a byte, so count builds its key
+    tables, tail and head_key in uint8 (a sum of key terms is a key, so
+    none overflows), which cuts the bytes the outer sums write eightfold,
+    and tallies the keys in pairs with one bincount over uint16 views.
+    weigh keeps int64 keys, as table[keys] gathers fastest with intp
+    indices, and so do the no-table path and tables of more profiles.
 
     In odometer order the trailing blocks run fastest, so index
     h * span + t, with span the size of the longest suffix of blocks that
@@ -247,27 +274,29 @@ def _weigher(P: Poset, pi: LabelMap, W: WeightModel) -> _Kernel:
     levels, ranks = _rank_tables(pi, W)
     sizes, places = _index_places(pi, W.q)
     radix = len(levels)
+    n_profiles = radix**pi.n
     key_places = [radix ** (pi.n - 1 - i) for i in range(pi.n)]
-    # key_tables[i] maps a block code straight to its term of the key
-    key_tables = [rank * kp for rank, kp in zip(ranks, key_places)]
     leq, strict = _order_matrices(P)
 
-    built: list[tuple[int, np.ndarray]] = []  # (suffix start, tail), on first use
+    built: dict = {}  # key dtype -> (suffix start, key tables, tail), on first use
 
-    def profiles(lo: int, hi: int) -> np.ndarray:
-        if not built:
+    def profiles(lo: int, hi: int, dtype=np.int64) -> np.ndarray:
+        if dtype not in built:
+            # key_tables[i] maps a block code straight to its term of the key
+            key_tables = [(rank * kp).astype(dtype, copy=False)
+                          for rank, kp in zip(ranks, key_places)]
             start = _suffix_start(sizes)
-            tail = np.zeros(1, dtype=np.int64)
+            tail = np.zeros(1, dtype=dtype)
             for i in reversed(range(start, pi.n)):
                 tail = (key_tables[i][:, None] + tail).ravel()
-            built.append((start, tail))
-        start, tail = built[0]
+            built[dtype] = (start, key_tables, tail)
+        start, key_tables, tail = built[dtype]
         if start == 0:  # the whole space is one range, keyed by tail alone
             return tail[lo:hi]
         span = len(tail)
         h0, h1 = lo // span, -(-hi // span)
         head = np.arange(h0, h1, dtype=np.int64)
-        head_key = np.zeros(h1 - h0, dtype=np.int64)
+        head_key = np.zeros(h1 - h0, dtype=dtype)
         for i in range(start):
             head_key += key_tables[i][(head // (places[i] // span)) % sizes[i]]
         key = (head_key[:, None] + tail).ravel()
@@ -284,7 +313,6 @@ def _weigher(P: Poset, pi: LabelMap, W: WeightModel) -> _Kernel:
         np.add.at(hist, weights, counts)
         return hist
 
-    n_profiles = radix**pi.n
     if n_profiles <= _CHUNK:
         table = profile_weights(np.arange(n_profiles, dtype=np.int64))
 
@@ -292,6 +320,8 @@ def _weigher(P: Poset, pi: LabelMap, W: WeightModel) -> _Kernel:
             return table[profiles(lo, hi)]
 
         def count_keys(lo: int, hi: int) -> np.ndarray:
+            if n_profiles <= _BYTE_KEYS:
+                return _count_byte_keys(profiles(lo, hi, np.uint8), n_profiles)
             return np.bincount(profiles(lo, hi), minlength=n_profiles)
 
         def fold_keys(key_counts: np.ndarray) -> np.ndarray:

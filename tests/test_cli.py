@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from itertools import accumulate
 from pathlib import Path
 
@@ -110,6 +111,32 @@ def test_wide_alphabet_one_element(tmp_path, capsys):
         got = [int(entry[key]) for entry in json.loads(out)[key + "s"]]
         assert got == list(expected), command
         assert elapsed < 1.0, (command, elapsed)
+
+
+def test_counts_past_the_int_str_digit_limit(tmp_path, capsys):
+    # q = 2 and one block of 15,000 symbols: |A_1| = 2^15000 - 1 has 4,516
+    # decimal digits, past the interpreter's default limit of 4,300; the
+    # tables are written and read without changing that limit
+    limit = sys.get_int_max_str_digits()
+    big = 2**15000 - 1
+    count, volume = str(Decimal(big)), str(Decimal(big + 1))
+    assert len(count) == 4516
+    path = _write(tmp_path, {"q": 2, "poset": {"n": 1, "relations": []}, "pi": [15000]})
+    code, out, _ = run(capsys, "distribution", "--config", path)
+    assert code == 0
+    payload = json.loads(out)
+    assert [e["count"] for e in payload["counts"]] == ["1", count]
+    table = pb.table_from_json_dict(payload)
+    assert table.counts == (1, big)
+    assert pb.table_from_json_dict(pb.table_to_json_dict(table)) == table
+    code, out, _ = run(capsys, "distribution", "--config", path, "--format", "csv")
+    assert (code, out.splitlines()) == (0, ["r,count", "0,1", "1," + count])
+    code, out, _ = run(capsys, "ball", "--config", path)
+    assert code == 0
+    assert [e["volume"] for e in json.loads(out)["volumes"]] == ["1", volume]
+    code, out, _ = run(capsys, "ball", "--config", path, "--radius", "1")
+    assert (code, json.loads(out)["volume"]) == (0, volume)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_ball_command(cfg45, capsys):

@@ -347,3 +347,34 @@ def test_metric_axioms_seed_determinism(ex45):
     a = pb.oracle_metric_axioms(P, pi, W, samples=500, seed=42)
     b = pb.oracle_metric_axioms(P, pi, W, samples=500, seed=42)
     assert a == b
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 255, 256])
+def test_byte_keys_count_like_bincount(n):
+    # pairs of uint8 keys counted as uint16: even and odd lengths, slices
+    # that start at an odd byte (an unaligned uint16 view), the keys 0 and
+    # n - 1 at both ends, and n = 256, 65,536 pair bins
+    rng = np.random.default_rng(n)
+    keys = rng.integers(0, n, size=1001, dtype=np.uint8)
+    keys[:2], keys[-2:] = 0, n - 1
+    count = pb.oracle._count_byte_keys
+    for lo, hi in [(0, 0), (0, 1), (0, 2), (0, 1000), (0, 1001), (1, 1000), (1, 1001), (3, 8)]:
+        got = count(keys[lo:hi], n)
+        assert got.dtype == np.int64
+        assert got.tolist() == np.bincount(keys[lo:hi], minlength=n).tolist(), (lo, hi)
+    assert count(np.full(5, n - 1, dtype=np.uint8), n).tolist() == [0] * (n - 1) + [5]
+
+
+def test_byte_keys_only_for_a_table_of_at_most_256_profiles(monkeypatch):
+    # Lee at q = 7 has 4 symbol weights: 4^4 = 256 profiles key in uint8,
+    # and 4^5 = 1,024 profiles, or a table past the chunk, in int64
+    W = pb.lee_weight(7)
+    paired = mock.Mock(wraps=pb.oracle._count_byte_keys)
+    monkeypatch.setattr(pb.oracle, "_count_byte_keys", paired)
+    for n, chunk, byte_keys in [(4, 1 << 18, True), (5, 1 << 18, False), (4, 255, False)]:
+        P, pi = chain(n), pb.label_map([1] * n)
+        monkeypatch.setattr(pb.oracle, "_CHUNK", chunk)
+        paired.reset_mock()
+        res = pb.oracle_distribution(P, pi, W)
+        assert res.to_table().counts == pb.distribution_chain(P, pi, W).counts
+        assert paired.called == byte_keys, n

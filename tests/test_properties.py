@@ -37,7 +37,9 @@ The sweep kernel must weigh every index range like pwpi_weight, and
 oracle_distribution, with a chunk that splits the space into several
 ranges whose boundaries fall inside a leading index, must give the
 histogram of pwpi_weight over every vector, on one thread and on two,
-with the profile table and without it.
+with the profile table and without it.  So must it with an odd q and an
+odd chunk, whose ranges start at odd offsets into their keys, with at most
+256 profiles (byte keys, counted in pairs) and with more.
 
 table_to_json must write the bytes of json.dumps(..., indent=2) for every
 drawn table, with its counts and with its running sums as ball volumes.
@@ -61,6 +63,7 @@ from posetblock.poset import ideals_with_sum
 
 MAX_SPACE = 10**5
 KERNEL_SPACE = 3**7
+ODD_SPACE = 5**5
 KERNEL_RANGE = 150  # the most vectors a kernel range test weighs one by one
 
 
@@ -576,6 +579,54 @@ def test_sweep_counts_like_pwpi_weight(case):
             res = pb.oracle_distribution(P, pi, W, threads=threads)
             assert res.histogram == want, threads
             assert res.total == total
+
+
+@st.composite
+def odd_chunk_cases(draw):
+    """(P, pi, W, chunk, byte_keys): an odd q, so every span of blocks is
+    odd, a space of at most 5^5 vectors, and an odd chunk between the
+    profile count and the space, so the kernel keeps a profile table, the
+    space splits into several ranges, and ranges start at odd offsets into
+    the keys of their leading indices.  byte_keys says whether there are at
+    most 256 profiles (uint8 keys) or more (int64 keys): the wide side
+    takes a 5-symbol weight with 5 distinct values on 4 elements, 625
+    profiles."""
+    byte_keys = draw(st.booleans())
+    if byte_keys:
+        q = draw(st.sampled_from([3, 5]))
+        P = draw(st.one_of(random_posets(5), hierarchical_posets(5)))
+        W = _weight(draw, q)
+    else:
+        q = 5
+        pairs = [p for p in combinations(range(1, 5), 2) if draw(st.booleans())]
+        P = _relabel(4, pairs, draw(st.permutations(range(1, 5))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", pb.WeightWarning)
+            W = pb.custom_weight(q, [0, *draw(st.permutations([1, 2, 3, 4]))])
+    pi = _block_lengths(draw, P.n, q, ODD_SPACE)
+    profiles = len(set(W.table)) ** P.n
+    assume((profiles <= 256) == byte_keys and profiles + 1 < q**pi.N)
+    chunk = draw(st.integers(profiles // 2, (q**pi.N - 2) // 2)) * 2 + 1
+    return P, pi, W, chunk, byte_keys
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(odd_chunk_cases())
+def test_odd_chunk_sweep_counts_like_pwpi_weight(case):
+    # uint8 keys are counted in pairs through a uint16 view, which an odd
+    # range start leaves unaligned; int64 keys by one bincount
+    P, pi, W, chunk, byte_keys = case
+    total = W.q**pi.N
+    want = _pwpi_histogram(P, pi, W)
+    paired = mock.Mock(wraps=pb.oracle._count_byte_keys)
+    with mock.patch.object(pb.oracle, "_CHUNK", chunk), \
+            mock.patch.object(pb.oracle, "_count_byte_keys", paired):
+        assert pb.oracle._weigher(P, pi, W).table is not None
+        assert len(pb.oracle._ranges(total)) > 1
+        for threads in (1, 2):
+            res = pb.oracle_distribution(P, pi, W, threads=threads)
+            assert res.histogram == want, threads
+    assert paired.called == byte_keys
 
 
 @st.composite
