@@ -12,7 +12,11 @@ module/rung, e.g. perfectness/chain_r3 for test_rung[chain_r3] in
 bench/test_perfectness.py; its extra_info figures are kept per run, and
 the summary takes their median (the peak RSS, their max).  Each tree is
 named by its git describe and by a sha256 of its src/**/*.py, and its
-src/posetblock/*.py line count is kept beside the numbers.
+src/posetblock/*.py line count is kept beside the numbers.  Every
+extra_info figure must be a number: a run that stores anything else stops
+the set at once.  The JSON is written again after every completed run,
+with "runs" the runs done so far and "runs_planned" the --runs asked for,
+so a set cut short keeps the runs it finished.
 """
 
 from __future__ import annotations
@@ -67,6 +71,13 @@ def _run(tree: Path, node: str) -> dict:
         out = Path(tmp) / "rung.json"
         _pytest(tree, node, f"--benchmark-json={out}")
         (bench,) = json.loads(out.read_text())["benchmarks"]
+    bad = {
+        field: value
+        for field, value in bench["extra_info"].items()
+        if isinstance(value, bool) or not isinstance(value, (int, float))
+    }
+    if bad:
+        raise SystemExit(f"{node}: extra_info figures must be numbers, got {bad}")
     stats = bench["stats"]
     return {
         "median_s": stats["median"],
@@ -138,15 +149,10 @@ def main() -> None:
     trees = {"parent": args.parent, "change": args.change}
     nodes = _rungs(args.change)
     rungs = {rung: {"parent": [], "change": []} for rung in nodes}
-    for run in range(args.runs):
-        order = ["parent", "change"] if run % 2 == 0 else ["change", "parent"]
-        for rung, sides in rungs.items():
-            for side in order:
-                sides[side].append(_run(trees[side], nodes[rung]))
-    summary = {rung: _summary(sides) for rung, sides in rungs.items()}
     report = {
         "modules": _modules(),
-        "runs": args.runs,
+        "runs": 0,
+        "runs_planned": args.runs,
         "commits": {side: _commit(tree) for side, tree in trees.items()},
         "src_sha256": {side: _src_sha256(tree) for side, tree in trees.items()},
         "src_lines": {side: _src_lines(tree) for side, tree in trees.items()},
@@ -155,10 +161,19 @@ def main() -> None:
             "python": platform.python_version(),
             "numpy": numpy.__version__,
         },
-        "summary": summary,
+        "summary": {},
         "rungs": rungs,
     }
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    for run in range(args.runs):
+        order = ["parent", "change"] if run % 2 == 0 else ["change", "parent"]
+        for rung, sides in rungs.items():
+            for side in order:
+                sides[side].append(_run(trees[side], nodes[rung]))
+        report["runs"] = run + 1
+        report["summary"] = {rung: _summary(sides) for rung, sides in rungs.items()}
+        partial = args.out.with_name(args.out.name + ".partial")
+        partial.write_text(json.dumps(report, indent=1) + "\n")
+        partial.replace(args.out)
 
 
 if __name__ == "__main__":

@@ -10,11 +10,12 @@ Like bench/test_perfectness.py, every rung calls only the public API, so
 rung in its own process on two trees.  Each rung stores the process's peak
 RSS (MiB), the sweep rate (vectors per second at the median round), the
 number of block-weight profiles (radix^n, radix the number of distinct
-symbol weights), whether the kernel keeps a table of them (at most one
-sweep chunk of profiles) and the bytes per profile key (1 for uint8 keys,
-a table of at most 256 profiles on a tree that narrows them, else 8 for
-int64), in its extra_info, so the JSON says which path each rung timed.
-Every figure is a number, as bench/compare.py takes their median.
+symbol weights), the size of the kernel's profile table in MiB, to 0.1
+(0 on a tree that keeps no table past a chunk of profiles) and the bytes per
+profile key (1 for uint8 keys, a table of at most 256 profiles on a tree
+that narrows them, else 8 for int64), in its extra_info, so the JSON says
+which path each rung timed.  Every figure is a number, as
+bench/compare.py takes their median.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ def _lee_chain_11e6():
 
 def _no_table_11e6():
     """Z_11^6 on a 6-chain with blocks of 1, custom weight w(a) = a: 11 symbol
-    weights, so 11^6 profiles, more than a chunk holds, and no table."""
+    weights, so 11^6 profiles, more than a chunk holds: every vector is its
+    own profile, the table takes 13.5 MiB, and each range counts weights."""
     P = pb.build_poset(6, [(i, i + 1) for i in range(1, 6)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", pb.WeightWarning)  # w(a) != w(-a)
@@ -89,6 +91,7 @@ def test_rung(benchmark, rung):
     benchmark.extra_info["vectors_per_s"] = round(result.total / benchmark.stats.stats.median)
     profiles = len(set(W.table)) ** pi.n
     benchmark.extra_info["profiles"] = profiles
-    benchmark.extra_info["table_path"] = profiles <= pb.oracle._CHUNK
+    table = pb.oracle._weigher(P, pi, W).table
+    benchmark.extra_info["table_mib"] = 0 if table is None else round(table.nbytes / 2**20, 1)
     byte_keys = profiles <= min(getattr(pb.oracle, "_BYTE_KEYS", 0), pb.oracle._CHUNK)
     benchmark.extra_info["key_bytes"] = 1 if byte_keys else 8

@@ -211,7 +211,7 @@ def is_r_perfect(
     codeword cap only) are disjoint.
     """
     check_shape(pi, P.n, C)
-    if r < 0 or r > pi.n * W.M_w:
+    if integer(r, "radius") < 0 or r > pi.n * W.M_w:
         raise BoundsError(f"radius {r} outside [0, {pi.n * W.M_w}]")
     from .oracle import space_cap
 
@@ -245,7 +245,7 @@ def is_r_error_correcting(
     """Whether the r-balls centered at codewords are pairwise disjoint
     (`_r_balls_disjoint`); the zero code's one ball is."""
     check_shape(pi, P.n, C)
-    if r < 0:
+    if integer(r, "radius") < 0:
         raise BoundsError(f"radius {r} < 0")
     return C.k == 0 or _r_balls_disjoint(C, r, P, pi, W, cap, codeword_cap)[0]
 

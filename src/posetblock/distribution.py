@@ -69,7 +69,7 @@ class DistributionTable:
 
 def ball_volume(table: DistributionTable, r: int) -> int:
     """|B_r| = 1 + |A_1| + ... + |A_r|."""
-    if not 0 <= r <= table.max_weight:
+    if not 0 <= integer(r, "radius") <= table.max_weight:
         raise BoundsError(f"radius {r} outside [0, {table.max_weight}]")
     return sum(table.counts[: r + 1])
 

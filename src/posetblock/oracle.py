@@ -12,15 +12,14 @@ fastest, so the terms of the longest suffix of blocks that fits a chunk
 are summed once into an outer-sum array, built from the last block
 backwards, and a range's keys add that array to the key of each leading
 index it meets; a space of one range has no leading index, and its keys
-are the outer sum itself.  The histogram counts
-every vector's key, then weighs each counted profile once: it adds up
-the number of vectors per profile key over the ranges and folds those
-counts into weights at the end (with a profile table), or weighs each
-range's distinct keys (without one).  A table of at most 256 profiles
-keys its vectors in one byte each and counts them two at a time, as
-uint16 pairs; every other sweep keys them in int64.  Nothing here
-touches the ideal counting machinery or the code module, so agreement
-with the closed forms is a real theorem check.
+are the outer sum itself.  The kernel weighs every profile once, into a
+table of 8 bytes per profile.  The histogram adds up the number of
+vectors per profile key over the ranges and folds those counts into
+weights at the end, or, past a chunk of profiles, counts each range's
+weights.  A table of at most 256 profiles keys its vectors in one byte
+each and counts them two at a time, as uint16 pairs; every other sweep
+keys them in int64.  Nothing here touches the ideal counting machinery
+or the code module, so agreement with the closed forms checks the theorems.
 
 Perfectness verdicts count per coset instead of per codeword, using only
 the linearity of the code: r-balls and I-balls are both translates of a
@@ -143,13 +142,15 @@ def _order_matrices(P: Poset) -> tuple[np.ndarray, np.ndarray]:
 def _weights_from_block_weights(
     leq: np.ndarray, strict: np.ndarray, M_w: int, wmat: np.ndarray
 ) -> np.ndarray:
-    """Definitional weight of each row of an (S, n) block-weight matrix."""
+    """Definitional weight of each row of an (S, n) block-weight matrix,
+    which it overwrites to spare an (S, n) int64 temporary."""
     support = (wmat > 0).astype(np.uint8)
     closure = (support @ leq.T) > 0
     dominated = (closure.astype(np.uint8) @ strict.T) > 0
     maximal = closure & ~dominated
     non_max = closure & ~maximal
-    return (wmat * maximal).sum(axis=1) + M_w * non_max.sum(axis=1)
+    wmat *= maximal
+    return wmat.sum(axis=1) + M_w * non_max.sum(axis=1)
 
 
 def _index_places(pi: LabelMap, q: int) -> tuple[list[int], list[int]]:
@@ -196,15 +197,14 @@ class _Kernel(NamedTuple):
     n * M_w.  A vector's profile is its tuple of block weights, keyed as
     the number whose base-radix digits are the blocks' ranks[i][code_i],
     block 0 most significant; radix is the number of distinct symbol
-    weights.  table holds the weight of every profile key when there are
-    at most a chunk of them, else None.  count keys a range in uint8 when
-    the table has at most 256 entries, and tallies the keys in pairs
-    (_count_byte_keys); weigh, and count on every other kernel, key in
-    int64.  The keys of a range are sums of a leading part and a trailing
-    part (see _weigher), or the trailing part alone when the space is one
-    range; the key tables and the trailing part are built per key dtype
-    on the first weigh or count call that needs it, so a kernel read only
-    for its table costs no sweep set-up.
+    weights, and table holds the weight of every profile key.  count
+    tallies the keys of at most a chunk of profiles, in uint8 pairs
+    (_count_byte_keys) for at most 256, else in int64; past a chunk it
+    gives each range's weight histogram.  The keys of a range are sums of
+    a leading part and a trailing part (see _weigher), or the trailing
+    part alone when the space is one range; they are built per key dtype
+    on the first weigh or count call that needs them, so a kernel read
+    only for its table costs no sweep set-up.
     """
 
     weigh: Callable[[int, int], np.ndarray]
@@ -212,7 +212,7 @@ class _Kernel(NamedTuple):
     fold: Callable[[np.ndarray], np.ndarray]
     ranks: list
     radix: int
-    table: np.ndarray | None
+    table: np.ndarray
 
 
 def _suffix_start(sizes: list[int]) -> int:
@@ -243,21 +243,22 @@ def _count_byte_keys(keys: np.ndarray, n: int) -> np.ndarray:
 def _weigher(P: Poset, pi: LabelMap, W: WeightModel) -> _Kernel:
     """Build the one weight kernel.
 
-    Vectors are keyed by their block-weight profile, and the definitional
-    weight is computed once per profile: for all profiles up front when
-    there are at most a chunk of them, else once per distinct profile in
-    each range.  With the table, count gives the number of vectors per
-    profile key, and fold adds each key's count to its weight once, after
-    the sweep; without it, count gives a range's weight histogram, adding
-    each distinct key's count to its weight, and fold keeps the sum.
-    Counts stay int64 throughout: a float bincount(weights=) is not exact
-    past 2^53, and a space may hold up to 2^63 - 1 vectors.  With a table
-    of at most 256 profiles every key fits a byte, so count builds its key
-    tables, tail and head_key in uint8 (a sum of key terms is a key, so
-    none overflows), which cuts the bytes the outer sums write eightfold,
-    and tallies the keys in pairs with one bincount over uint16 views.
-    weigh keeps int64 keys, as table[keys] gathers fastest with intp
-    indices, and so do the no-table path and tables of more profiles.
+    Vectors are keyed by their block-weight profile, and table holds the
+    definitional weight of every profile, computed once, a chunk of keys at
+    a time (one chunk is the table itself, with no copy).  It costs 8 bytes
+    per profile and has at most q^N entries (radix <= q, n <= N), the bound
+    of every oracle array; every caller has checked q^N against the space
+    cap.  With at most a chunk of profiles, count gives the number of
+    vectors per profile key, and fold adds each key's count to its weight
+    once, after the sweep; past a chunk, count gives a range's weight
+    histogram, so no count outgrows its range, and fold keeps the
+    sum.  Counts stay int64: a float bincount(weights=) is not exact past
+    2^53, and a space may hold up to 2^63 - 1 vectors.  With at most 256
+    profiles every key fits a byte, so count builds its key tables, tail
+    and head_key in uint8 (a sum of key terms is a key, so none overflows),
+    cutting the bytes the outer sums write eightfold, and tallies the keys
+    in pairs with one bincount over uint16 views.  Every other key is int64,
+    as table[keys] gathers fastest with intp indices.
 
     In odometer order the trailing blocks run fastest, so index
     h * span + t, with span the size of the longest suffix of blocks that
@@ -302,45 +303,41 @@ def _weigher(P: Poset, pi: LabelMap, W: WeightModel) -> _Kernel:
         key = (head_key[:, None] + tail).ravel()
         return key[lo - h0 * span : hi - h0 * span]
 
-    def profile_weights(keys: np.ndarray) -> np.ndarray:
-        wmat = np.empty((len(keys), pi.n), dtype=np.int64)
+    def profile_weights(lo: int, hi: int) -> np.ndarray:
+        keys = np.arange(lo, hi, dtype=np.int64)
+        wmat = np.empty((hi - lo, pi.n), dtype=np.int64)
         for i in range(pi.n):
             wmat[:, i] = levels[keys // key_places[i] % radix]
         return _weights_from_block_weights(leq, strict, W.M_w, wmat)
 
-    def by_weight(weights: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        hist = np.zeros(pi.n * W.M_w + 1, dtype=np.int64)
-        np.add.at(hist, weights, counts)
-        return hist
-
-    if n_profiles <= _CHUNK:
-        table = profile_weights(np.arange(n_profiles, dtype=np.int64))
-
-        def weigh_by_table(lo: int, hi: int) -> np.ndarray:
-            return table[profiles(lo, hi)]
-
-        def count_keys(lo: int, hi: int) -> np.ndarray:
-            if n_profiles <= _BYTE_KEYS:
-                return _count_byte_keys(profiles(lo, hi, np.uint8), n_profiles)
-            return np.bincount(profiles(lo, hi), minlength=n_profiles)
-
-        def fold_keys(key_counts: np.ndarray) -> np.ndarray:
-            return by_weight(table, key_counts)
-
-        return _Kernel(weigh_by_table, count_keys, fold_keys, ranks, radix, table)
+    slices = _ranges(n_profiles)
+    keyed = len(slices) == 1  # count profile keys, else each range's weights
+    if keyed:
+        table = profile_weights(0, n_profiles)
+    else:
+        table = np.empty(n_profiles, dtype=np.int64)
+        for lo, hi in slices:
+            table[lo:hi] = profile_weights(lo, hi)
+    n_weights = pi.n * W.M_w + 1
 
     def weigh(lo: int, hi: int) -> np.ndarray:
-        ukeys, inverse = np.unique(profiles(lo, hi), return_inverse=True)
-        return profile_weights(ukeys)[inverse]
+        return table[profiles(lo, hi)]
 
-    def count_weights(lo: int, hi: int) -> np.ndarray:
-        ukeys, counts = np.unique(profiles(lo, hi), return_counts=True)
-        return by_weight(profile_weights(ukeys), counts)
+    def count(lo: int, hi: int) -> np.ndarray:
+        if not keyed:
+            return np.bincount(weigh(lo, hi), minlength=n_weights)
+        if n_profiles <= _BYTE_KEYS:
+            return _count_byte_keys(profiles(lo, hi, np.uint8), n_profiles)
+        return np.bincount(profiles(lo, hi), minlength=n_profiles)
 
-    def keep(hist: np.ndarray) -> np.ndarray:
+    def fold(counts: np.ndarray) -> np.ndarray:
+        if not keyed:
+            return counts
+        hist = np.zeros(n_weights, dtype=np.int64)
+        np.add.at(hist, table, counts)
         return hist
 
-    return _Kernel(weigh, count_weights, keep, ranks, radix, None)
+    return _Kernel(weigh, count, fold, ranks, radix, table)
 
 
 def oracle_distribution(
@@ -417,18 +414,17 @@ def _box_chunks(keys, sizes, key_places, groups, places) -> Iterator[np.ndarray]
 
 def _ball(
     P: Poset, pi: LabelMap, W: WeightModel, *, ideal=None, radius=None
-) -> tuple[int | None, Iterator[np.ndarray]]:
-    """(|B(0)| or None, the indices of B(0)'s vectors in chunks), for the
-    r-ball B_r(0) = {u : w(u) <= r} or the I-ball B_I(0) = {u : supp_pi(u)
-    inside I}.
+) -> tuple[int, Iterator[np.ndarray]]:
+    """(|B(0)|, the indices of B(0)'s vectors in chunks), for the r-ball
+    B_r(0) = {u : w(u) <= r} or the I-ball B_I(0) = {u : supp_pi(u) inside
+    I}.
 
     A ball of at most half the space is enumerated: the I-ball is one box,
     any code in a block of I and 0 elsewhere; the r-ball is the union, over
     the kernel's profiles of weight <= r, of the boxes whose block i holds
     the codes with that profile's weight.  The I-ball of every block is the
-    whole space, taken in index ranges.  A larger r-ball, or one whose
-    profiles exceed a chunk, is marked in a sweep of the whole space.  The
-    size is None only for an r-ball with no profile table.
+    whole space, taken in index ranges, and a larger r-ball is marked in a
+    sweep of the whole space.
     """
     q = W.q
     total = q**pi.N
@@ -449,25 +445,23 @@ def _ball(
         )
         return size, chunks
     kernel = _weigher(P, pi, W)
-    size = None
-    if kernel.table is not None:
-        keys = np.flatnonzero(kernel.table <= radius)
-        radix = kernel.radix
-        key_places = [radix ** (pi.n - 1 - i) for i in range(pi.n)]
-        grouped = {}  # block length -> (codes ordered by rank, group starts)
-        for k, rank in zip(pi.k, kernel.ranks):
-            if k not in grouped:
-                starts = np.zeros(radix + 1, dtype=np.int64)
-                np.cumsum(np.bincount(rank, minlength=radix), out=starts[1:])
-                grouped[k] = (np.argsort(rank, kind="stable"), starts)
-        groups = [grouped[k] for k in pi.k]
-        box_sizes = np.ones(len(keys), dtype=np.int64)
-        for (_, starts), kp in zip(groups, key_places):
-            group = keys // kp % radix
-            box_sizes *= starts[group + 1] - starts[group]
-        size = int(box_sizes.sum())
-        if 2 * size <= total:
-            return size, _box_chunks(keys, box_sizes, key_places, groups, places)
+    keys = np.flatnonzero(kernel.table <= radius)
+    radix = kernel.radix
+    key_places = [radix ** (pi.n - 1 - i) for i in range(pi.n)]
+    grouped = {}  # block length -> (codes ordered by rank, group starts)
+    for k, rank in zip(pi.k, kernel.ranks):
+        if k not in grouped:
+            starts = np.zeros(radix + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rank, minlength=radix), out=starts[1:])
+            grouped[k] = (np.argsort(rank, kind="stable"), starts)
+    groups = [grouped[k] for k in pi.k]
+    per_key = np.ones(1, dtype=np.int64)  # box sizes: outer product of group sizes
+    for _, starts in reversed(groups):
+        per_key = (np.diff(starts)[:, None] * per_key).ravel()
+    box_sizes = per_key[keys]
+    size = int(box_sizes.sum())
+    if 2 * size <= total:
+        return size, _box_chunks(keys, box_sizes, key_places, groups, places)
     return size, (
         lo + np.flatnonzero(kernel.weigh(lo, hi) <= radius) for lo, hi in _ranges(total)
     )
@@ -480,12 +474,12 @@ def _r_ball_perfectness(
     result is None when |C| * |B_r(0)| > q^N: the balls then overlap by
     pigeonhole, and no coset is counted.
 
-    |B_r(0)| is the sum of the box sizes over the profile table; with no
-    table it is the number of ball vectors the coset count sees.
+    |B_r(0)| is the sum of the box sizes over the profile table, or, when
+    the cosets are counted, the number of ball vectors the count sees.
     """
     _check_cap(W.q, pi.N, cap)
     size, chunks = _ball(P, pi, W, radius=radius)
-    if size is not None and code.size * size > W.q**pi.N:
+    if code.size * size > W.q**pi.N:
         return size, None
     max_mult, min_mult, size = _coset_ball_counts(code, chunks, W.q, pi.N)
     return size, _perfectness_result(max_mult, min_mult)
@@ -569,7 +563,7 @@ def oracle_perfectness(
         raise BoundsError("give exactly one of ideal= or radius=")
     check_shape(pi, P.n, code)
     check_shape(pi, None if ideal is None else ideal.n)
-    if radius is not None and radius < 0:
+    if radius is not None and integer(radius, "radius") < 0:
         raise BoundsError(f"radius {radius} < 0")
     _check_cap(W.q, pi.N, cap)
     _, chunks = _ball(P, pi, W, ideal=ideal, radius=radius)
@@ -604,6 +598,9 @@ def oracle_metric_axioms(
     """Seeded sampling of triples; reports identity/symmetry/triangle
     violations, with the first _WITNESSES of them as witnesses."""
     check_shape(pi, P.n)
+    samples, seed = integer(samples, "sample count"), integer(seed, "seed")
+    if samples < 0 or seed < 0:
+        raise BoundsError(f"sample count {samples} or seed {seed} < 0")
     if samples == 0:
         return MetricAxiomReport(samples=0, violation_count=0, witnesses=())
     rng = np.random.default_rng(seed)

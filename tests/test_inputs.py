@@ -96,6 +96,10 @@ def test_a_table_count_is_a_decimal_string_or_an_integer():
             pb.table_from_json_dict(_table(r=r))
 
 
+# a 3-chain of unit blocks at q = 5 and a one-dimensional code on it
+SPACE = (chain(3), pb.label_map([1, 1, 1]))
+CODE = pb.chain_mds_code(*SPACE, 5, 1)
+
 # each builder, with the one integer it is handed and a valid value for it
 BUILDERS = {
     "label_map": (lambda v: pb.label_map([v, 2]).k, 2),
@@ -119,6 +123,12 @@ BUILDERS = {
     "oracle_distribution threads": (
         lambda v: pb.oracle_distribution(chain(2), pb.label_map([1, 1]), W, threads=v).histogram, 2
     ),
+    "ball_volume radius": (lambda v: pb.ball_volume(pb.distribution(*SPACE, W), v), 1),
+    "is_r_perfect radius": (lambda v: pb.is_r_perfect(CODE, v, *SPACE, W), 1),
+    "is_r_error_correcting radius": (lambda v: pb.is_r_error_correcting(CODE, v, *SPACE, W), 1),
+    "oracle_perfectness radius": (lambda v: pb.oracle_perfectness(CODE, *SPACE, W, radius=v), 1),
+    "oracle_metric_axioms samples": (lambda v: pb.oracle_metric_axioms(*SPACE, W, v, 0), 10),
+    "oracle_metric_axioms seed": (lambda v: pb.oracle_metric_axioms(*SPACE, W, 10, v), 3),
 }
 
 
@@ -140,3 +150,20 @@ def test_a_relation_must_be_a_pair():
     for pair in ((1, 2, 3), (1,), 3):
         with pytest.raises(pb.BoundsError, match="malformed relation pair"):
             pb.build_poset(3, [pair])
+
+
+# each count that must not be negative: a radius, a sample count and a seed
+NEGATIVES = {
+    "ball_volume radius": lambda: pb.ball_volume(pb.distribution(*SPACE, W), -1),
+    "is_r_perfect radius": lambda: pb.is_r_perfect(CODE, -1, *SPACE, W),
+    "is_r_error_correcting radius": lambda: pb.is_r_error_correcting(CODE, -1, *SPACE, W),
+    "oracle_perfectness radius": lambda: pb.oracle_perfectness(CODE, *SPACE, W, radius=-1),
+    "oracle_metric_axioms samples": lambda: pb.oracle_metric_axioms(*SPACE, W, -5, 0),
+    "oracle_metric_axioms seed": lambda: pb.oracle_metric_axioms(*SPACE, W, 10, -1),
+}
+
+
+@pytest.mark.parametrize("name", list(NEGATIVES))
+def test_counts_are_not_negative(name):
+    with pytest.raises(pb.BoundsError, match="-1|-5"):
+        NEGATIVES[name]()

@@ -144,7 +144,7 @@ def test_kernel_ranks_every_block_on_one_scale():
 
 def test_small_chunks_give_the_same_answers(monkeypatch):
     # 64-vector chunks: many ranges, more profiles than a chunk, so the
-    # kernel weighs each range's distinct profiles instead of a whole table,
+    # kernel weighs its table in two slices and counts each range's weights,
     # and a suffix of only the last block, so most ranges cross its span
     P = pb.build_poset(4, [(1, 3), (2, 3)])
     pi = pb.label_map([2, 1, 2, 1])
@@ -168,8 +168,8 @@ def test_small_chunks_give_the_same_answers(monkeypatch):
 
 
 def test_profile_box_spans_several_chunks(monkeypatch):
-    # 8-vector chunks: the 4 profiles still fit one, so the balls are
-    # enumerated, and block 1's 26 codes of weight 1 span four chunks
+    # 8-vector chunks: the balls are enumerated box by box, and block 1's
+    # 26 codes of weight 1 span four chunks
     from test_properties import _check_perfectness
 
     P = antichain(2)
@@ -367,7 +367,8 @@ def test_byte_keys_count_like_bincount(n):
 
 def test_byte_keys_only_for_a_table_of_at_most_256_profiles(monkeypatch):
     # Lee at q = 7 has 4 symbol weights: 4^4 = 256 profiles key in uint8,
-    # and 4^5 = 1,024 profiles, or a table past the chunk, in int64
+    # 4^5 = 1,024 profiles in int64, and 256 profiles past a 255-vector
+    # chunk count each range's weights, not keys
     W = pb.lee_weight(7)
     paired = mock.Mock(wraps=pb.oracle._count_byte_keys)
     monkeypatch.setattr(pb.oracle, "_count_byte_keys", paired)

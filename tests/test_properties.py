@@ -540,16 +540,17 @@ def test_kernel_weighs_every_range_like_pwpi_weight(case):
 
 @st.composite
 def sweep_cases(draw):
-    """(P, pi, W, chunk, table_path): a space of at most 3^7 vectors and a
+    """(P, pi, W, chunk, key_counts): a space of at most 3^7 vectors and a
     chunk that splits it into several ranges, with the suffix of the blocks
     from some start >= 1 on filling part of it, so that a range boundary
-    falls inside a leading index; table_path says whether the chunk holds
-    every profile (the kernel's profile table) or not (np.unique)."""
+    falls inside a leading index; key_counts says whether the chunk holds
+    every profile, so that count tallies profile keys, or not, so that it
+    gives each range's weight histogram."""
     q = draw(st.sampled_from([2, 3, 5]))
     P = draw(st.one_of(random_posets(5), hierarchical_posets(5)))
     pi = _block_lengths(draw, P.n, q, KERNEL_SPACE)
     W = _weight(draw, q)
-    table_path = draw(st.booleans())
+    key_counts = draw(st.booleans())
     profiles = len(set(W.table)) ** P.n
     sizes = [q**k for k in pi.k]
     chunks = []
@@ -558,22 +559,25 @@ def sweep_cases(draw):
         chunks += [
             c
             for c in range(span + 1, span * sizes[start - 1])
-            if c % span and (c >= profiles) == table_path
+            if c % span and (c >= profiles) == key_counts
         ]
     assume(chunks)
-    return P, pi, W, draw(st.sampled_from(chunks)), table_path
+    return P, pi, W, draw(st.sampled_from(chunks)), key_counts
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(sweep_cases())
 def test_sweep_counts_like_pwpi_weight(case):
-    # oracle_distribution counts every range's profile keys and weighs each
-    # profile once; the reference weighs every vector with pwpi_weight
-    P, pi, W, chunk, table_path = case
+    # oracle_distribution counts every range's profile keys, or past a chunk
+    # of profiles its weights, and weighs each profile once; the reference
+    # weighs every vector with pwpi_weight
+    P, pi, W, chunk, key_counts = case
     total = W.q**pi.N
     want = _pwpi_histogram(P, pi, W)
     with mock.patch.object(pb.oracle, "_CHUNK", chunk):
-        assert (pb.oracle._weigher(P, pi, W).table is not None) == table_path
+        kernel = pb.oracle._weigher(P, pi, W)
+        bins = len(kernel.table) if key_counts else pi.n * W.M_w + 1
+        assert len(kernel.count(0, chunk)) == bins
         assert len(pb.oracle._ranges(total)) > 1
         for threads in (1, 2):
             res = pb.oracle_distribution(P, pi, W, threads=threads)
@@ -621,7 +625,7 @@ def test_odd_chunk_sweep_counts_like_pwpi_weight(case):
     paired = mock.Mock(wraps=pb.oracle._count_byte_keys)
     with mock.patch.object(pb.oracle, "_CHUNK", chunk), \
             mock.patch.object(pb.oracle, "_count_byte_keys", paired):
-        assert pb.oracle._weigher(P, pi, W).table is not None
+        assert len(pb.oracle._weigher(P, pi, W).table) <= chunk
         assert len(pb.oracle._ranges(total)) > 1
         for threads in (1, 2):
             res = pb.oracle_distribution(P, pi, W, threads=threads)
@@ -643,10 +647,10 @@ def one_range_cases(draw):
 @given(one_range_cases())
 def test_one_range_sweep_counts_like_pwpi_weight(case):
     # a space of one range is keyed by the kernel's outer sum alone.  It
-    # holds every profile (radix^n <= q^N), so oracle_distribution takes
-    # the table path; a kernel built under a chunk smaller than the
-    # profiles takes the np.unique path, and it builds its outer sum on
-    # first use, here under the full chunk, so it still sums the whole space
+    # holds every profile (radix^n <= q^N), so oracle_distribution counts
+    # profile keys; a kernel built under a chunk smaller than the profiles
+    # counts weights, and it builds its outer sum on first use, here under
+    # the full chunk, so it still sums the whole space
     P, pi, W = case
     total = W.q**pi.N
     want = _pwpi_histogram(P, pi, W)
@@ -657,9 +661,53 @@ def test_one_range_sweep_counts_like_pwpi_weight(case):
         assert res.histogram == want, threads
     with mock.patch.object(pb.oracle, "_CHUNK", len(set(W.table)) ** pi.n - 1):
         kernel = pb.oracle._weigher(P, pi, W)
-    assert kernel.table is None
-    hist = kernel.fold(kernel.count(0, total))
+    hist = kernel.count(0, total)
+    assert kernel.fold(hist) is hist
     assert dict(enumerate(hist.tolist())) == want
+
+
+@st.composite
+def table_cases(draw):
+    """(P, pi, W, chunk): a space of at most 3^7 vectors and a chunk of at
+    most its profile count, so the kernel weighs its table in slices."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    P = draw(st.one_of(random_posets(5), hierarchical_posets(5)))
+    pi = _block_lengths(draw, P.n, q, KERNEL_SPACE)
+    W = _weight(draw, q)
+    return P, pi, W, draw(st.integers(1, len(set(W.table)) ** P.n))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(table_cases())
+def test_profile_table_is_within_the_space_and_weighed_by_the_chunk(case):
+    # radix <= q symbol weights and n <= N blocks, so the table of radix^n
+    # profiles has no more entries than the space has vectors; each entry is
+    # the weight of a vector with that profile, weighed a chunk at a time
+    P, pi, W, chunk = case
+    q, levels = W.q, sorted(set(W.table))
+    radix = len(levels)
+    rows = []
+    weigh = pb.oracle._weights_from_block_weights
+
+    def spy(leq, strict, M_w, wmat):
+        rows.append(len(wmat))
+        return weigh(leq, strict, M_w, wmat)
+
+    with mock.patch.object(pb.oracle, "_CHUNK", chunk), \
+            mock.patch.object(pb.oracle, "_weights_from_block_weights", spy):
+        table = pb.oracle._weigher(P, pi, W).table
+    assert len(table) == radix**pi.n <= q**pi.N
+    assert max(rows) <= chunk and sum(rows) == len(table)
+    # a code of each block length for each rank of block weight
+    code_of = {}
+    for k in set(pi.k):
+        for code in range(q**k):
+            digits = [code // q**t % q for t in reversed(range(k))]
+            code_of.setdefault((k, levels.index(max(W.table[d] for d in digits))), digits)
+    for key, weight in enumerate(table.tolist()):
+        ranks = [key // radix ** (pi.n - 1 - i) % radix for i in range(pi.n)]
+        vector = [s for k, r in zip(pi.k, ranks) for s in code_of[k, r]]
+        assert weight == pb.pwpi_weight(P, pi, W, vector), key
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
