@@ -6,8 +6,10 @@
 Commands: distribution | ball | check-code | oracle-compare | construct
 | classify.  One parser, built once at import, takes the command as a
 positional and the same flags for every command; a command ignores the
-flags it does not use.  The distribution and ball tables are written by
-distribution.table_to_json, every other artifact by json.dumps.
+flags it does not use.  The config describes the instance and the flags
+say how to run it: each run option has one channel, its flag, whose
+default the parser holds.  The distribution and ball tables are written
+by distribution.table_to_json, every other artifact by json.dumps.
 Diagnostics go to stderr, data to stdout.  Exit codes: 0 ok, 1 table
 mismatch (oracle-compare), 2 config error or bad arguments, 3 enumeration
 over cap.
@@ -213,11 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to instance JSON")
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
-    parser.add_argument("--method", choices=METHODS + ("oracle",), default=None)
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--method", choices=METHODS + ("oracle",), default="auto")
     parser.add_argument("--radius", type=int, default=None)
     parser.add_argument("--threads", type=_threads_flag, default="auto")
-    parser.add_argument("--cap-ideals", type=int, default=None)
+    parser.add_argument("--cap-ideals", type=int, default=IDEAL_CAP_DEFAULT)
+    # None is the oracle's own default; 0 is a cap like any other
     parser.add_argument("--cap-space", type=int, default=None)
     return parser
 
@@ -229,16 +232,7 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        # CLI flags win over the config, and the config over the defaults;
-        # 0 is a cap like any other, and a space cap of None is the oracle's
-        args.method = args.method or cfg.method or "auto"
-        args.format = args.format or cfg.fmt or "json"
-        if args.cap_ideals is None:
-            args.cap_ideals = cfg.caps.get("ideals", IDEAL_CAP_DEFAULT)
-        if args.cap_space is None:
-            args.cap_space = cfg.caps.get("space")
-        return COMMANDS[args.command](cfg, args)
+        return COMMANDS[args.command](load_config(args.config), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,4 +1,7 @@
-"""Instance configuration: one JSON file describing (q, P, pi, w [, code, ideal])."""
+"""Instance configuration: one JSON file describing (q, P, pi, w [, code, ideal]).
+
+How to run the instance (method, output format, caps) is set by CLI flags
+only; a config that still carries one of those keys is refused."""
 
 from __future__ import annotations
 
@@ -6,7 +9,6 @@ import json
 from dataclasses import dataclass
 
 from .codes import LinearCode, linear_code
-from .distribution import METHODS
 from .errors import ConfigError, PosetBlockError, integer
 from .poset import Poset, ideal_closure, poset_from_json
 from .space import LabelMap, check_shape, label_map
@@ -21,14 +23,19 @@ class InstanceConfig:
     weight: WeightModel
     code: LinearCode | None
     ideal_members: tuple | None
-    caps: dict  # the caps the config sets; CLI flags override
-    method: str | None  # default method; CLI --method overrides
-    fmt: str | None  # default output format; CLI --format overrides
+
+
+# former config keys and the flags that replaced them: refused, not ignored,
+# so an old config does not silently run with the defaults
+_FLAGS = {"caps": "--cap-ideals / --cap-space", "method": "--method", "format": "--format"}
 
 
 def parse_config(obj: dict) -> InstanceConfig:
     """The instance a config object describes.  Each value is checked by the
     builder it reaches; any PosetBlockError becomes a ConfigError."""
+    for key, flag in _FLAGS.items():
+        if key in obj:
+            raise ConfigError(f"{key!r} is not a config key; set it with {flag}")
     try:
         weight = weight_from_json(obj["q"], obj.get("weight", "lee"))
         q = weight.q
@@ -48,21 +55,6 @@ def parse_config(obj: dict) -> InstanceConfig:
         if "ideal" in obj:
             ideal_members = tuple(obj["ideal"])
             ideal_closure(poset, ideal_members)  # each member an integer in [1, n]
-        caps_obj = obj.get("caps", {})
-        if not isinstance(caps_obj, dict):
-            raise ConfigError(f"caps must be an object, got {caps_obj!r}")
-        caps = {}
-        for key, value in caps_obj.items():
-            if key not in ("ideals", "space"):
-                raise ConfigError(f"unknown cap {key!r}; the caps are ideals, space")
-            if value is not None:  # null means unset
-                caps[key] = integer(value, f"cap {key!r}")
-        method = obj.get("method")
-        if method is not None and method not in METHODS + ("oracle",):
-            raise ConfigError(f"unknown method {method!r}")
-        fmt = obj.get("format")
-        if fmt is not None and fmt not in ("json", "csv"):
-            raise ConfigError(f"unknown format {fmt!r}")
         return InstanceConfig(
             q=q,
             poset=poset,
@@ -70,9 +62,6 @@ def parse_config(obj: dict) -> InstanceConfig:
             weight=weight,
             code=code,
             ideal_members=ideal_members,
-            caps=caps,
-            method=method,
-            fmt=fmt,
         )
     except ConfigError:
         raise

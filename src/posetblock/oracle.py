@@ -39,7 +39,6 @@ on first use), so the closed forms run without numpy loaded.
 from __future__ import annotations
 
 import hashlib
-import time
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -70,7 +69,6 @@ def space_cap(cap: int | None = None) -> int:
 class OracleResult:
     histogram: dict
     total: int
-    elapsed: float
     fingerprint: str
     q: int
     N: int
@@ -362,7 +360,6 @@ def oracle_distribution(
         raise BoundsError(f"thread count {threads} < 1")
     q = W.q
     total = _check_cap(q, pi.N, cap)
-    start = time.monotonic()
     kernel = _weigher(P, pi, W)
     first, *rest = _ranges(total)
     counts = kernel.count(*first)  # builds the kernel's outer sum before a worker reads it
@@ -376,7 +373,6 @@ def oracle_distribution(
     return OracleResult(
         histogram=histogram,
         total=total,
-        elapsed=time.monotonic() - start,
         fingerprint=_fingerprint(P, pi, W),
         q=q,
         N=pi.N,

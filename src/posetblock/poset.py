@@ -431,15 +431,11 @@ def classify(P: Poset) -> PosetClass:
     Hierarchical: the levels up to each boundary are P's only ideal of their
     size (see _sole_ideal), so every higher element lies above all of them."""
     levels = level_decomposition(P)
-    full = (1 << P.n) - 1
-    lowest = accumulate(sum(1 << (a - 1) for a in lvl) for lvl in levels.levels[:-1])
-    hier = all(P.down[j] & below == below for below in lowest for j in _bits(full & ~below))
-    is_chain = hier and all(s == 1 for s in levels.level_sizes)
-    is_antichain = levels.height == 1
+    boundaries = accumulate(levels.level_sizes[:-1])
     return PosetClass(
-        is_chain=is_chain,
-        is_antichain=is_antichain,
-        is_hierarchical=hier,
+        is_chain=is_chain(P),
+        is_antichain=levels.height == 1,
+        is_hierarchical=all(_sole_ideal(P, t) is not None for t in boundaries),
         levels=levels,
     )
 

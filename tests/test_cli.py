@@ -8,6 +8,7 @@ import dataclasses
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -209,8 +210,7 @@ def test_check_code_passes_its_ideal_cap(tmp_path, capsys, monkeypatch):
     assert run(capsys, "check-code", "--config", path)[0] == 0
     code, _, err = run(capsys, "check-code", "--config", path, "--cap-ideals", "7")
     assert code == 3 and "cap 7" in err
-    path = _write(tmp_path, dict(cfg, caps={"ideals": 8}))
-    assert run(capsys, "check-code", "--config", path)[0] == 0
+    assert run(capsys, "check-code", "--config", path, "--cap-ideals", "8")[0] == 0
     assert seen == [pb.poset.IDEAL_CAP_DEFAULT, 7, 8]
 
 
@@ -236,10 +236,10 @@ def test_check_code_lists_only_the_covering_ideals(tmp_path, capsys):
     assert all(v["i_perfect"] for v in verdicts)
     # 2^12 ideals over a cap of 100, as distribution already allows
     cfg = dict(cfg, poset={"n": 12, "relations": []}, pi=[1] * 12,
-               code={"generator": [[1] * 12]}, caps={"ideals": 100})
+               code={"generator": [[1] * 12]})
     path = _write(tmp_path, cfg)
-    assert run(capsys, "distribution", "--config", path)[0] == 0
-    code, out, _ = run(capsys, "check-code", "--config", path)
+    assert run(capsys, "distribution", "--config", path, "--cap-ideals", "100")[0] == 0
+    code, out, _ = run(capsys, "check-code", "--config", path, "--cap-ideals", "100")
     assert code == 0 and len(json.loads(out)["i_perfect_by_ideal"]) == 12
 
 
@@ -330,21 +330,11 @@ def test_oracle_compare_honours_cap_ideals_flag(tmp_path, capsys):
     assert "cap 2" in err
 
 
-def test_oracle_compare_honours_config_ideal_cap(tmp_path, capsys):
-    path = _write(tmp_path, dict(SMALL_GENERAL, caps={"ideals": 2}))
-    code, _, err = run(capsys, "oracle-compare", "--config", path)
-    assert code == 3
-    assert "cap 2" in err
-
-
 def test_cap_ideals_zero_is_a_cap(tmp_path, capsys):
     path = _write(tmp_path, SMALL_GENERAL)
     code, _, err = run(capsys, "distribution", "--config", path, "--cap-ideals", "0")
     assert code == 3
     assert "cap 0" in err
-    # a flag wins over the config, 0 included
-    path = _write(tmp_path, dict(SMALL_GENERAL, caps={"ideals": 100}))
-    assert run(capsys, "distribution", "--config", path, "--cap-ideals", "0")[0] == 3
 
 
 def test_cap_space_zero_is_a_cap(tmp_path, capsys):
@@ -353,20 +343,18 @@ def test_cap_space_zero_is_a_cap(tmp_path, capsys):
                        "--method", "oracle", "--cap-space", "0")
     assert code == 3
     assert "space cap 0" in err
-    path = _write(tmp_path, dict(SMALL_GENERAL, caps={"space": 0}))
-    code, _, err = run(capsys, "oracle-compare", "--config", path)
+    code, _, err = run(capsys, "oracle-compare", "--config", path, "--cap-space", "0")
     assert code == 3
     assert "space cap 0" in err
 
 
 def test_the_environment_sets_no_cap(tmp_path, capsys, monkeypatch):
-    # the space cap is the flag, else the config's, else the default
+    # the space cap is the flag, else the default
     path = _write(tmp_path, SMALL_GENERAL)
     for value in ("abc", "1"):
         monkeypatch.setenv("POSETBLOCK_CAP_SPACE", value)
         assert run(capsys, "oracle-compare", "--config", path)[0] == 0
-    path = _write(tmp_path, dict(SMALL_GENERAL, caps={"space": 3**7 - 1}))
-    assert run(capsys, "oracle-compare", "--config", path)[0] == 3
+    assert run(capsys, "oracle-compare", "--config", path, "--cap-space", str(3**7 - 1))[0] == 3
     assert run(capsys, "oracle-compare", "--config", path, "--cap-space", str(3**7))[0] == 0
 
 
@@ -494,16 +482,13 @@ def test_nonprime_q_with_code_exit_2(tmp_path, capsys):
     assert "prime" in err
 
 
-def test_config_method_and_format_defaults(tmp_path, capsys):
-    cfg = dict(EX45, method="general", format="csv")
-    path = tmp_path / "meth.json"
-    path.write_text(json.dumps(cfg))
-    code, out, _ = run(capsys, "distribution", "--config", str(path))
+def test_method_and_format_flags(cfg45, capsys):
+    code, out, _ = run(capsys, "distribution", "--config", cfg45,
+                       "--method", "general", "--format", "csv")
     assert code == 0
-    assert out.splitlines()[0] == "r,count"  # config format honored
-    # an explicit flag overrides the config
-    code, out, _ = run(capsys, "distribution", "--config", str(path),
-                       "--format", "json")
+    assert out.splitlines()[0] == "r,count"
+    code, out, _ = run(capsys, "distribution", "--config", cfg45,
+                       "--method", "general", "--format", "json")
     assert code == 0
     assert json.loads(out)["method"] == "general"
 
@@ -512,12 +497,10 @@ def test_removed_method_names_exit_2(tmp_path, capsys):
     # the level form and the equal-block route are now part of general
     assert cli.METHODS == ("auto", "general", "chain")
     for name in ("hierarchical", "equal"):
-        path = _write(tmp_path, dict(EX45, method=name))
-        code, _, err = run(capsys, "distribution", "--config", path)
-        assert code == 2 and "unknown method" in err
         with pytest.raises(SystemExit) as exc:
             main(["distribution", "--config", _write(tmp_path, EX45), "--method", name])
         assert exc.value.code == 2
+        assert f"invalid choice: '{name}'" in capsys.readouterr().err
 
 
 def test_oracle_method_flag(tmp_path, capsys):
@@ -553,8 +536,6 @@ def test_config_numbers_must_be_integers(tmp_path, capsys):
         ("distribution", dict(EX45, poset={"n": 5.9, "relations": [[1, 2]]})),
         ("distribution", dict(EX45, weight={"table": [0, 1, 2, 3.5, 3, 2, 1]})),
         ("construct", dict(EX45, ideal=["1"])),
-        ("distribution", dict(EX45, caps={"ideals": "100"})),  # a TypeError traceback
-        ("oracle-compare", dict(EX45, caps={"space": "100"})),
         # true ran as 1; a float failed inside the rank reduction
         ("distribution", dict(EX45, code={"generator": [[True] + [0] * 12]})),
         ("distribution", dict(EX45, code={"generator": [[1.0] + [0] * 12]})),
@@ -568,23 +549,40 @@ def test_config_numbers_must_be_integers(tmp_path, capsys):
     code, out, err = run(capsys, "distribution", "--config", _write(tmp_path, cfg))
     assert (code, out) == (2, "")
     assert "code must be an object" in err
-    # a null cap is unset, as when the key is absent
-    code, out, _ = run(capsys, "distribution", "--config",
-                       _write(tmp_path, dict(EX45, caps={"ideals": None, "space": None})))
-    assert code == 0 and json.loads(out)["counts"][3]["count"] == "35384"
+    # caps are integers too, through their flags
+    for flag in ("--cap-ideals", "--cap-space"):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-compare", "--config", _write(tmp_path, EX45), flag, "0.5"])
+        assert exc.value.code == 2
+        assert f"{flag}: invalid int value" in capsys.readouterr().err
 
 
-def test_unknown_cap_key_exits_2(tmp_path, capsys):
-    # a misspelt key ("ideal" for "ideals") must not leave the default cap in force
-    cfg = {"q": 7, "poset": dict(zip(("n", "relations"), fence(12))), "pi": [1] * 12}
-    path = _write(tmp_path, dict(cfg, caps={"ideals": 0}))
-    assert run(capsys, "distribution", "--config", path)[0] == 3
-    path = _write(tmp_path, dict(cfg, caps={"ideal": 0}))
-    code, out, err = run(capsys, "distribution", "--config", path)
-    assert (code, out) == (2, "")
-    assert "'ideal'" in err and "ideals, space" in err
-    with pytest.raises(pb.ConfigError, match="'spaces'"):
-        parse_config(dict(cfg, caps={"spaces": None}))
+# a config that every command runs: EX69 with the ideal {1, 2, 4}
+EVERY_COMMAND = dict(EX69, ideal=[1, 2, 4])
+
+
+@pytest.mark.parametrize(
+    "key, value, flag",
+    [
+        ("caps", {"ideals": 100, "space": 1000}, "--cap-ideals"),
+        ("caps", None, "--cap-space"),
+        ("method", "general", "--method"),
+        ("format", "csv", "--format"),
+    ],
+)
+def test_run_options_in_the_config_exit_2(tmp_path, capsys, key, value, flag):
+    # how to run an instance is set by flags only; an old config is refused,
+    # not run with the defaults
+    path = _write(tmp_path, EVERY_COMMAND)
+    for command in cli.COMMANDS:
+        assert run(capsys, command, "--config", path)[0] == 0, command
+    path = _write(tmp_path, dict(EVERY_COMMAND, **{key: value}))
+    for command in cli.COMMANDS:
+        code, out, err = run(capsys, command, "--config", path)
+        assert (code, out) == (2, ""), command
+        assert f"'{key}' is not a config key" in err and flag in err, command
+    with pytest.raises(pb.ConfigError, match=flag):
+        parse_config(dict(EVERY_COMMAND, **{key: value}))
 
 
 def test_threads_are_resolved_only_for_the_oracle(tmp_path, cfg45, capsys, monkeypatch):
@@ -621,10 +619,48 @@ def test_every_command_takes_every_flag():
             "command": name, "config": "x.json", "format": "csv", "method": "chain",
             "radius": 4, "threads": "2", "cap_ideals": 10, "cap_space": 100,
         }
+        # the parser holds every default; a space cap of None is the oracle's
         assert vars(parser.parse_args([name, "--config", "x.json"])) == {
-            "command": name, "config": "x.json", "format": None, "method": None,
-            "radius": None, "threads": "auto", "cap_ideals": None, "cap_space": None,
+            "command": name, "config": "x.json", "format": "json", "method": "auto",
+            "radius": None, "threads": "auto",
+            "cap_ideals": pb.poset.IDEAL_CAP_DEFAULT, "cap_space": None,
         }
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(lang, start):
+    """README's fenced block in the given language whose text begins with start."""
+    blocks = re.findall(rf"```{lang}\n(.*?)```", README.read_text(), re.S)
+    (block,) = [b for b in blocks if b.startswith(start)]
+    return block
+
+
+def test_readme_config_shape_and_synopsis_hold():
+    # the documented config is one that check-code and construct read
+    cfg = parse_config(json.loads(_readme_block("json", '{\n  "q"')))
+    assert cfg.code is not None and cfg.ideal_members is not None
+    # the synopsis names every flag, each choice list is the parser's, and
+    # the first choice is the default
+    options = re.findall(r"\[(--[\w-]+) ([^\]]+)\]", _readme_block("sh", "posetblock <command>"))
+    parser = cli.build_parser()
+    actions = {a.option_strings[0]: a for a in parser._actions if a.option_strings}
+    assert set(actions) - {"-h"} == {"--config"} | {flag for flag, _ in options}
+    for flag, text in options:
+        values = text.split("|")
+        if actions[flag].choices:
+            assert tuple(actions[flag].choices) == tuple(values), flag
+        if len(values) > 1:
+            assert actions[flag].default == values[0], flag
+        for name in cli.COMMANDS:
+            for value in values:  # R and N stand for an integer
+                parser.parse_args([name, "--config", "inst.json", flag,
+                                   "7" if value.isupper() else value])
+    # the command table lists every command once, and only the parser's flags
+    rows = dict(re.findall(r"^\| `([\w-]+)` \|(.*)$", README.read_text(), re.M))
+    assert sorted(rows) == sorted(cli.COMMANDS)
+    assert set(re.findall(r"--[\w-]+", "".join(rows.values()))) <= set(actions)
 
 
 def test_missing_or_unknown_command_exits_2(cfg45, capsys):
@@ -686,15 +722,12 @@ def test_reused_parser_keeps_no_state(cfg45, capsys):
         ("check-code", json.dumps(dict(EX69, code={"q": 5, "generator": [[1] * 8]})),
          "differs from instance q"),
         ("construct", json.dumps(dict(EX45, ideal=[1, 6])), "ideal element 6 outside [1, 5]"),
-        ("distribution", json.dumps(dict(EX45, format="xml")), "unknown format 'xml'"),
         ("distribution", json.dumps({k: v for k, v in EX45.items() if k != "pi"}),
          "missing config key: pi"),
         ("distribution", "{not json", "is not valid JSON"),
         ("distribution", json.dumps([EX45]), "must be a JSON object"),
         ("check-code", json.dumps(EX45), "check-code needs a code"),
         ("construct", json.dumps(EX45), "construct needs an ideal"),
-        *[("distribution", json.dumps(dict(EX45, caps=caps)), "caps must be an object")
-          for caps in ([], True, 1, 0.5, None)],
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, command, text, message):

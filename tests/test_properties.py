@@ -26,6 +26,10 @@ every B_{I u J}(0) with |I| = |J| = r/M_w free of nonzero codewords, and
 min_distance, under the weight and under Hamming, must equal the least
 pwpi_weight over the nonzero codewords.
 
+classify's chain, antichain and hierarchical flags must match brute force
+over the ideals drawn from enumerate_ideals: n + 1 ideals, 2^n ideals, and
+every ideal holding each element lower than its highest one.
+
 For the equal-block MDS hypothesis it draws a chain or a random poset,
 blocks of s symbols and a random or transversal code.  Where the hypothesis
 holds, verify_duality must agree and sweep the codewords once per MDS leg,
@@ -283,6 +287,31 @@ def test_verify_duality_needs_a_unique_ideal(P):
         else:
             with pytest.raises(pb.HypothesisError):
                 pb.verify_duality(C, P, pi, pb.hamming_weight(2))
+
+
+def _height(P, a, memo):
+    """The size of the largest chain with a on top, from the order alone."""
+    if a not in memo:
+        below = [b for b in range(1, P.n + 1) if b != a and P.leq(b, a)]
+        memo[a] = 1 + max((_height(P, b, memo) for b in below), default=0)
+    return memo[a]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.one_of(random_posets(5), hierarchical_posets(9), composite_posets(9)))
+def test_classify_equals_brute_force_over_the_ideals(P):
+    ideals = [set(I.members) for I in pb.enumerate_ideals(P).ideals]
+    memo = {}
+    height = {a: _height(P, a, memo) for a in range(1, P.n + 1)}
+    cls = pb.classify(P)
+    assert cls.is_chain == (len(ideals) == P.n + 1)
+    assert cls.is_antichain == (len(ideals) == 2**P.n)
+    # hierarchical: every ideal holds each element lower than its highest one,
+    # so its ideals are a full set of levels and part of the next
+    assert cls.is_hierarchical == all(
+        {a for a in height if height[a] < max(height[b] for b in I)} <= I for I in ideals if I
+    )
+    assert cls.levels.heights == tuple(height[a] for a in range(1, P.n + 1))
 
 
 @st.composite
