@@ -728,6 +728,12 @@ def test_reused_parser_keeps_no_state(cfg45, capsys):
         ("distribution", json.dumps([EX45]), "must be a JSON object"),
         ("check-code", json.dumps(EX45), "check-code needs a code"),
         ("construct", json.dumps(EX45), "construct needs an ideal"),
+        # a run option is refused by its key, whatever its value
+        ("distribution", json.dumps(dict(EX45, format="xml")),
+         "'format' is not a config key; set it with --format"),
+        *[("distribution", json.dumps(dict(EX45, caps=caps)),
+           "'caps' is not a config key; set it with --cap-ideals / --cap-space")
+          for caps in ([], True, 1, 0.5, None)],
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, command, text, message):
