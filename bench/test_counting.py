@@ -7,7 +7,10 @@ a maximal element; they run at q = 7, and the fence16 again at q = 101.
 The wide tables at q = 101 (Lee, M_w = 50) are ex45 and the 64-antichain,
 whose fold is one union of 64 parts, joined in halves.  The one-element
 Lee table at q = 20,011 (M_w = 10,005) times the block class sizes alone:
-one per weight class, read from the weight model's prefix sums.
+one per weight class, read from the weight model's prefix sums.  The
+listing rungs time one poset.ideals_with_sum call each, the check-code
+listing of the ideals of one sum of k: the 20-antichain at sum 10 lists
+C(20, 10) = 184,756 ideals, the 24-antichain at sum 23 only 24 of its 2^24.
 Run them from the repository root:
 
     python -m pytest bench/test_counting.py --benchmark-json=out.json
@@ -28,6 +31,7 @@ import pytest
 import posetblock as pb
 
 ROUNDS = 3
+LISTING_ROUNDS = 7
 
 
 def _fence(n: int):
@@ -76,5 +80,30 @@ def test_rung(benchmark, rung):
         warmup_rounds=1,
     )
     assert table.check_normalization()
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    benchmark.extra_info["peak_rss_mib"] = round(peak, 1)
+
+
+# listing rung: (poset, k, total), one ideals_with_sum(P, k, total) call
+LISTINGS = {
+    "antichain20_sum10": (lambda: pb.build_poset(20), [1] * 20, 10),
+    "antichain24_sum23": (lambda: pb.build_poset(24), [1] * 24, 23),
+    "antichain20_mixed_k_sum20": (lambda: pb.build_poset(20), [1 + i % 3 for i in range(20)], 20),
+    "fence16_sum8": (lambda: _fence(16), [1] * 16, 8),
+}
+
+
+@pytest.mark.parametrize("rung", list(LISTINGS))
+def test_listing(benchmark, rung):
+    poset, k, total = LISTINGS[rung]
+    P = poset()
+    masks = benchmark.pedantic(
+        lambda: pb.poset.ideals_with_sum(P, k, total),
+        rounds=LISTING_ROUNDS,
+        iterations=1,
+        warmup_rounds=1,
+    )
+    assert masks == sorted(set(masks))
+    benchmark.extra_info["ideals"] = len(masks)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     benchmark.extra_info["peak_rss_mib"] = round(peak, 1)

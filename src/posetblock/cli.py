@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from itertools import accumulate
 
@@ -43,22 +42,19 @@ EXIT_CONFIG = 2
 EXIT_EXPLOSION = 3
 
 
-def _auto_threads(value: str) -> int:
-    if value == "auto":
-        return min(4, os.cpu_count() or 1)
-    return int(value)
+def _at_least(low: int, what: str):
+    """An argparse type for an integer >= low: any other value exits 2 naming its flag."""
 
-
-def _threads_flag(value: str) -> str:
-    """The raw --threads string, once it reads auto or an integer >= 1."""
-    if value != "auto":
+    def parse(value: str) -> int:
         try:
-            count = int(value)
+            number = int(value)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not auto or an integer: {value!r}") from None
-        if count < 1:
-            raise argparse.ArgumentTypeError(f"thread count {count} < 1")
-    return value
+            raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+        if number < low:
+            raise argparse.ArgumentTypeError(f"{what} {number} < {low}")
+        return number
+
+    return parse
 
 
 def _emit(payload) -> None:
@@ -69,11 +65,9 @@ def _compute_table(cfg: InstanceConfig, method: str, args):
     if method == "oracle":  # the only reader of --threads
         from .oracle import oracle_distribution
 
-        threads = _auto_threads(args.threads)
-        res = oracle_distribution(
-            cfg.poset, cfg.pi, cfg.weight, cap=args.cap_space, threads=threads
-        )
-        return res.to_table()
+        return oracle_distribution(
+            cfg.poset, cfg.pi, cfg.weight, cap=args.cap_space, threads=args.threads
+        ).to_table()
     return distribution(
         cfg.poset, cfg.pi, cfg.weight, method=method, ideal_cap=args.cap_ideals
     )
@@ -218,10 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--method", choices=METHODS + ("oracle",), default="auto")
     parser.add_argument("--radius", type=int, default=None)
-    parser.add_argument("--threads", type=_threads_flag, default="auto")
-    parser.add_argument("--cap-ideals", type=int, default=IDEAL_CAP_DEFAULT)
+    parser.add_argument("--threads", type=_at_least(1, "thread count"), default=1)
+    parser.add_argument("--cap-ideals", type=_at_least(0, "ideal cap"), default=IDEAL_CAP_DEFAULT)
     # None is the oracle's own default; 0 is a cap like any other
-    parser.add_argument("--cap-space", type=int, default=None)
+    parser.add_argument("--cap-space", type=_at_least(0, "space cap"), default=None)
     return parser
 
 

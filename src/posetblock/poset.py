@@ -5,17 +5,17 @@ for coordinate labels) and 0-indexed internally.  Every subset of the
 ground set is stored as a bitmask over the internal indices, so closure,
 maximal-element and comparability queries are single integer operations.
 
-fold_ideals answers questions about every ideal of P and lists none: a
-piece is a disjoint union, an ordinal sum, or splits on a maximal element.
-ideals_with_sum lists one sum's ideals the same way; enumerate_ideals
-walks the whole lattice.
+fold_ideals is the one walk over P: a piece is a disjoint union, an ordinal
+sum, or splits on a maximal element, and cap bounds the split pieces.  Each
+question about every ideal is an algebra on it, ideals_with_sum the listing
+one; enumerate_ideals walks the whole lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     BoundsError,
@@ -263,69 +263,50 @@ def _components(piece: int, adjacent) -> list[int]:
     return parts
 
 
-def _take_apart(P: Poset, cap: int):
-    """How the fold takes a piece of two or more elements apart: ("union",
-    (low, high)), the union of the first half of its connected parts and the
-    rest, ("sum", its ordinal summands bottom first) or else ("split",
-    (x, down)), with x a maximal element of the largest down-set down in the
-    piece.  Raises ExplosionError past cap split pieces."""
-    comparable = [P.down[i] | P.up[i] for i in range(P.n)]
-    incomparable = [~c for c in comparable]
-    splits = 0
-
-    def take_apart(piece: int):
-        nonlocal splits
-        parts = _components(piece, comparable)
-        if len(parts) > 1:
-            # halves, so joins pair values of like size; disjoint, so sum is OR
-            low = sum(parts[: len(parts) // 2])
-            return "union", (low, piece & ~low)
-        parts = _components(piece, incomparable)
-        if len(parts) > 1:
-            # bottom first: every element of a lower summand lies below every
-            # element of a higher one, so it has fewer elements below it
-            parts.sort(key=lambda part: (P.down[part.bit_length() - 1] & piece).bit_count())
-            return "sum", parts
-        splits += 1
-        if splits > cap:
-            raise ExplosionError(f"pieces split on a maximal element exceed cap {cap}")
-        x = max(_bits(P.maximals_mask(piece)), key=lambda i: (P.down[i] & piece).bit_count())
-        return "split", (x, P.down[x] & piece)
-
-    return take_apart
-
-
 def fold_ideals(
     P: Poset, empty, leaf, join, stack, split, *, cap: int = IDEAL_CAP_DEFAULT
 ):
     """Answer a question about P's ideal lattice by folding its pieces,
     memoised on their masks (Stanley, Enumerative Combinatorics 1, ch. 3).
     No piece gives empty and element i (0-indexed) leaf(i); a disjoint union
-    joins the values of its two halves, join(a, b), each half a union of
-    whole connected parts; an ordinal sum stacks each summand
-    onto the value low of the summands in the mask below, stack(low, below,
-    high).  Any other piece has as ideals those of piece - x and down | J for
-    J those of piece - down, for x maximal with down-set down, so it gives
-    split(x, down, fold(piece - x), fold(piece - down)).  More than cap split
-    pieces raise ExplosionError; a series-parallel poset splits none."""
-    take_apart = _take_apart(P, cap)
+    joins its two halves, join(a, b), each a union of whole connected parts;
+    an ordinal sum stacks each summand onto the value low of the summands
+    in the mask below, stack(low, below, high).  Any other piece has as
+    ideals those of piece - x and down | J for J those of piece - down, for
+    x maximal with the largest down-set down, so it gives split(x, down,
+    fold(piece - x), fold(piece - down)).  Past cap split pieces it raises
+    ExplosionError; leaves and series-parallel posets split none."""
+    comparable = [P.down[i] | P.up[i] for i in range(P.n)]
+    incomparable = [~c for c in comparable]
     memo = {0: empty}
+    splits = 0
 
     def fold(piece: int):
+        nonlocal splits
         if piece in memo:
             return memo[piece]
         if piece & (piece - 1) == 0:
             return leaf(piece.bit_length() - 1)
-        kind, parts = take_apart(piece)
-        if kind == "union":
-            value = join(fold(parts[0]), fold(parts[1]))
-        elif kind == "sum":
-            value, below = fold(parts[0]), parts[0]
-            for part in parts[1:]:
+        parts = _components(piece, comparable)
+        summands = _components(piece, incomparable) if len(parts) == 1 else []
+        if len(parts) > 1:
+            # halves, so joins pair values of like size; disjoint, so sum is OR
+            low = sum(parts[: len(parts) // 2])
+            value = join(fold(low), fold(piece & ~low))
+        elif len(summands) > 1:
+            # bottom first: every element of a lower summand lies below every
+            # element of a higher one, so it has fewer elements below it
+            summands.sort(key=lambda part: (P.down[part.bit_length() - 1] & piece).bit_count())
+            value, below = fold(summands[0]), summands[0]
+            for part in summands[1:]:
                 value = stack(value, below, fold(part))
                 below |= part
         else:
-            x, down = parts
+            splits += 1
+            if splits > cap:
+                raise ExplosionError(f"pieces split on a maximal element exceed cap {cap}")
+            x = max(_bits(P.maximals_mask(piece)), key=lambda i: (P.down[i] & piece).bit_count())
+            down = P.down[x] & piece
             value = split(x, down, fold(piece & ~(1 << x)), fold(piece & ~down))
         memo[piece] = value
         return value
@@ -333,60 +314,63 @@ def fold_ideals(
     return fold((1 << P.n) - 1)
 
 
+_Listing = NamedTuple("_Listing", [("mask", int), ("weight", int), ("ideals", Callable)])
+
+
 def ideals_with_sum(
     P: Poset, k, total: int, *, cap: int = IDEAL_CAP_DEFAULT
 ) -> list[int]:
     """Masks of the ideals J of P with sum(k[i], i in J) == total, ascending.
 
-    The positive integers k are indexed by 0-indexed element.  The pieces
-    come apart as in fold_ideals, but from the top with a budget: a branch
-    whose budget is negative or more than its piece holds is never taken.
-    Raises ExplosionError when more than cap pieces split, or when a piece
-    has more than cap ideals of one sum."""
-    take_apart = _take_apart(P, cap)
-    apart: dict = {}
-    sums: dict = {}
-    memo: dict = {}
+    The positive integers k are indexed by 0-indexed element.  This is the
+    listing algebra of fold_ideals: a piece's value is its mask, its k-sum
+    and ideals(t), its ideals of k-sum t, listed once and only if the total
+    leaves t to the piece.  cap bounds the split pieces, as in the fold, and
+    each piece's ideals of one sum; past it, ExplosionError."""
 
-    def weight(piece: int) -> int:
-        if piece not in sums:
-            sums[piece] = sum(k[i] for i in _bits(piece))
-        return sums[piece]
+    def listing(mask: int, weight: int, make) -> _Listing:
+        # k > 0: only the empty ideal has sum 0, only mask sum weight; make lists the rest
+        lists = {0: [0], weight: [mask]}
 
-    def masks(piece: int, budget: int):
-        if not 0 <= budget <= weight(piece):
-            return ()
-        if budget == 0 or budget == weight(piece):
-            return (piece if budget else 0,)
-        if (piece, budget) in memo:
-            return memo[piece, budget]
-        if piece not in apart:
-            apart[piece] = take_apart(piece)
-        kind, parts = apart[piece]
-        if kind == "union":
-            low, high = parts
-            out = [
-                a | b
-                for t in range(budget + 1)
-                for a in masks(low, t)
-                for b in masks(high, budget - t)
-            ]
-        elif kind == "sum":
-            # the bottom summand's ideals, then all of it under a nonempty
-            # ideal of the summands above
-            low = parts[0]
-            out = list(masks(low, budget))
-            out += [low | b for b in masks(piece & ~low, budget - weight(low)) if b]
-        else:
-            x, down = parts
-            out = list(masks(piece & ~(1 << x), budget))
-            out += [down | b for b in masks(piece & ~down, budget - weight(down))]
-        if len(out) > cap:
-            raise ExplosionError(f"ideal count exceeds cap {cap}")
-        memo[piece, budget] = out
-        return out
+        def ideals(t: int) -> list[int]:
+            if t not in lists:
+                if not 0 < t < weight:
+                    return []
+                lists[t] = make(t)
+                if len(lists[t]) > cap:
+                    raise ExplosionError(f"ideal count exceeds cap {cap}")
+            return lists[t]
 
-    return sorted(masks((1 << P.n) - 1, total))
+        return _Listing(mask, weight, ideals)
+
+    def leaf(i: int) -> _Listing:
+        return listing(1 << i, k[i], lambda t: [])
+
+    def join(a: _Listing, b: _Listing) -> _Listing:
+        def make(t: int) -> list[int]:
+            return [x | y for s in range(t + 1) for x in a.ideals(s) for y in b.ideals(t - s)]
+
+        return listing(a.mask | b.mask, a.weight + b.weight, make)
+
+    def stack(low: _Listing, below: int, high: _Listing) -> _Listing:
+        def make(t: int) -> list[int]:
+            # the ideals below, then all of below under a nonempty ideal of high
+            return low.ideals(t) + [below | y for y in high.ideals(t - low.weight) if y]
+
+        return listing(below | high.mask, low.weight + high.weight, make)
+
+    def split(x: int, down: int, without: _Listing, rest: _Listing) -> _Listing:
+        weight = without.weight + k[x]
+        down_weight = weight - rest.weight
+
+        def make(t: int) -> list[int]:
+            # the ideals without x, then down under an ideal of piece - down
+            return without.ideals(t) + [down | y for y in rest.ideals(t - down_weight)]
+
+        return listing(without.mask | 1 << x, weight, make)
+
+    whole = fold_ideals(P, listing(0, 0, None), leaf, join, stack, split, cap=cap)
+    return sorted(whole.ideals(total))
 
 
 def dual_poset(P: Poset) -> Poset:

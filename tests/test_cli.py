@@ -214,6 +214,22 @@ def test_check_code_passes_its_ideal_cap(tmp_path, capsys, monkeypatch):
     assert seen == [pb.poset.IDEAL_CAP_DEFAULT, 7, 8]
 
 
+def test_check_code_splits_only_what_the_fold_splits(tmp_path, capsys):
+    # an antichain splits no piece, so a cap of 0 lists too: the one-element
+    # pieces of two symbols are leaves of the fold, not split pieces
+    cfg = {
+        "q": 3,
+        "poset": {"n": 2, "relations": []},
+        "pi": [2, 2],
+        "weight": "hamming",
+        "code": {"generator": [[1, 0, 0, 0]]},
+    }
+    path = _write(tmp_path, cfg)
+    code, out, err = run(capsys, "check-code", "--config", path, "--cap-ideals", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["i_perfect_by_ideal"] == []
+
+
 def test_check_code_lists_only_the_covering_ideals(tmp_path, capsys):
     # 2^24 ideals; the listing generates only the 24 with sum(k) = N - k = 23
     cfg = {
@@ -549,12 +565,18 @@ def test_config_numbers_must_be_integers(tmp_path, capsys):
     code, out, err = run(capsys, "distribution", "--config", _write(tmp_path, cfg))
     assert (code, out) == (2, "")
     assert "code must be an object" in err
-    # caps are integers too, through their flags
-    for flag in ("--cap-ideals", "--cap-space"):
+    # caps are integers of at least 0 too, through their flags, on every command
+    for command, flag, value, message in [
+        ("oracle-compare", "--cap-ideals", "0.5", "invalid int value: '0.5'"),
+        ("oracle-compare", "--cap-space", "0.5", "invalid int value: '0.5'"),
+        ("check-code", "--cap-ideals", "-1", "ideal cap -1 < 0"),
+        ("distribution", "--cap-ideals", "-1", "ideal cap -1 < 0"),
+        ("oracle-compare", "--cap-space", "-5", "space cap -5 < 0"),
+    ]:
         with pytest.raises(SystemExit) as exc:
-            main(["oracle-compare", "--config", _write(tmp_path, EX45), flag, "0.5"])
+            main([command, "--config", _write(tmp_path, EX45), flag, value])
         assert exc.value.code == 2
-        assert f"{flag}: invalid int value" in capsys.readouterr().err
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
 
 
 # a config that every command runs: EX69 with the ideal {1, 2, 4}
@@ -585,18 +607,6 @@ def test_run_options_in_the_config_exit_2(tmp_path, capsys, key, value, flag):
         parse_config(dict(EVERY_COMMAND, **{key: value}))
 
 
-def test_threads_are_resolved_only_for_the_oracle(tmp_path, cfg45, capsys, monkeypatch):
-    # --threads auto asks for the core count only where the oracle runs
-    calls = []
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: calls.append(1) or 2)
-    for command in ("distribution", "ball"):
-        assert run(capsys, command, "--config", cfg45)[0] == 0
-    assert calls == []
-    path = _write(tmp_path, SMALL_GENERAL)
-    assert run(capsys, "oracle-compare", "--config", path)[0] == 0
-    assert len(calls) == 1
-
-
 def test_bad_threads_exits_2(cfg45, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["distribution", "--config", cfg45, "--threads", "abc"])
@@ -617,12 +627,12 @@ def test_every_command_takes_every_flag():
     for name in cli.COMMANDS:
         assert vars(parser.parse_args([name, *FLAGS])) == {
             "command": name, "config": "x.json", "format": "csv", "method": "chain",
-            "radius": 4, "threads": "2", "cap_ideals": 10, "cap_space": 100,
+            "radius": 4, "threads": 2, "cap_ideals": 10, "cap_space": 100,
         }
         # the parser holds every default; a space cap of None is the oracle's
         assert vars(parser.parse_args([name, "--config", "x.json"])) == {
             "command": name, "config": "x.json", "format": "json", "method": "auto",
-            "radius": None, "threads": "auto",
+            "radius": None, "threads": 1,
             "cap_ideals": pb.poset.IDEAL_CAP_DEFAULT, "cap_space": None,
         }
 

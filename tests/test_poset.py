@@ -251,7 +251,8 @@ def test_ideals_with_sum_honours_the_cap():
     with pytest.raises(pb.ExplosionError, match="ideal count exceeds cap 19"):
         pb.poset.ideals_with_sum(P, k, 3, cap=19)
     assert len(pb.poset.ideals_with_sum(P, k, 3, cap=20)) == 20
-    # the 3 x 4 grid has 2 ideals of size 2, and listing them splits 6 pieces
+    # the 3 x 4 grid has 2 ideals of size 2; the fold splits the 6 pieces, and
+    # the listing, an algebra on it, spends the cap on them too
     def at(i, j):
         return 4 * i + j + 1
 

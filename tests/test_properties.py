@@ -258,6 +258,27 @@ def sparse_posets(draw):
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(sparse_posets())
+def test_the_listing_splits_what_the_fold_splits(instance):
+    # one walk over P: the check-code listing spends the ideal cap on exactly
+    # the pieces that the fold of distribution_general splits, at every cap
+    P, pi, W = instance
+
+    def splits_past_cap(call):
+        try:
+            call()
+        except pb.ExplosionError as exc:
+            return "split on a maximal element" in str(exc)
+        return False
+
+    for cap in range(9):
+        want = splits_past_cap(lambda: pb.distribution_general(P, pi, W, ideal_cap=cap))
+        for total in range(pi.N + 1):
+            got = splits_past_cap(lambda: ideals_with_sum(P, pi.k, total, cap=cap))
+            assert got == want, (cap, total)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(sparse_posets())
 def test_split_equals_the_ideal_sum_and_the_oracle(instance):
     P, pi, W = instance
     F, best = _ideal_sums(P, pi, W)
