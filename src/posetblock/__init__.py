@@ -74,9 +74,7 @@ from .poset import (
     poset_from_json,
 )
 from .space import (
-    BlockVector,
     LabelMap,
-    block_vector,
     block_weight,
     label_map,
     pi_support,

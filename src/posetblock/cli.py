@@ -12,7 +12,7 @@ default the parser holds.  The distribution and ball tables are written
 by distribution.table_to_json, every other artifact by json.dumps.
 Diagnostics go to stderr, data to stdout.  Exit codes: 0 ok, 1 table
 mismatch (oracle-compare), 2 config error or bad arguments, 3 enumeration
-over cap.
+over cap, 4 internal error (an exception that is not the package's own).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_CONFIG = 2
 EXIT_EXPLOSION = 3
+EXIT_INTERNAL = 4
 
 
 def _at_least(low: int, what: str):
@@ -214,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--radius", type=int, default=None)
     parser.add_argument("--threads", type=_at_least(1, "thread count"), default=1)
     parser.add_argument("--cap-ideals", type=_at_least(0, "ideal cap"), default=IDEAL_CAP_DEFAULT)
-    # None is the oracle's own default; 0 is a cap like any other
+    # None is space.SPACE_CAP_DEFAULT; 0 is a cap like any other
     parser.add_argument("--cap-space", type=_at_least(0, "space cap"), default=None)
     return parser
 
@@ -236,6 +237,9 @@ def main(argv=None) -> int:
     except PosetBlockError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:  # not BaseException: SystemExit and Ctrl-C pass
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ from .poset import (
     fold_ideals,
     ideal_closure,
 )
-from .space import LabelMap, check_shape, pi_support, vector_sub
+from .space import LabelMap, check_shape, pi_support, space_cap, vector_sub
 from .weights import WeightModel, block_class_size, hamming_weight, metric_fault
 
 CODEWORD_CAP_DEFAULT = 10**6
@@ -162,7 +162,7 @@ def min_distance(
 def i_ball_contains(pi: LabelMap, q: int, I: Ideal, center, x) -> bool:
     """Whether x lies in the I-ball around center: supp_pi(center - x) inside I."""
     check_shape(pi, I.n)
-    diff = vector_sub(q, tuple(center), tuple(x))
+    diff = vector_sub(q, center, x)
     return all(I.contains(i) for i in pi_support(pi, diff))
 
 
@@ -213,8 +213,6 @@ def is_r_perfect(
     check_shape(pi, P.n, C)
     if integer(r, "radius") < 0 or r > pi.n * W.M_w:
         raise BoundsError(f"radius {r} outside [0, {pi.n * W.M_w}]")
-    from .oracle import space_cap
-
     volume = ball_volume(distribution(P, pi, W), r)
     fills = C.size * volume == C.q**pi.N
     if not fills and C.q**pi.N > space_cap(cap):
@@ -261,8 +259,6 @@ def _r_balls_disjoint(C, r, P, pi, W, cap, codeword_cap):
     minimum distance > 2r (by translation invariance the least pairwise
     distance is the least nonzero codeword weight), else ExplosionError.
     """
-    from .oracle import space_cap
-
     if C.q**pi.N > space_cap(cap):
         if C.k == 0 or _distance_certifies(C, r, P, pi, W, codeword_cap):
             return True, None

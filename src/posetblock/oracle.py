@@ -33,7 +33,8 @@ read off the code's stored echelon form.
 
 This is the one module of the package that imports numpy.  The others
 import it only where a brute-force path runs (the package serves its names
-on first use), so the closed forms run without numpy loaded.
+on first use), and the space cap every sweep checks is `space`'s, so the
+closed forms and the verdicts past the cap run without numpy loaded.
 """
 
 from __future__ import annotations
@@ -47,22 +48,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .distribution import DistributionTable
-from .errors import BoundsError, ExplosionError, integer
+from .errors import BoundsError, integer
 from .poset import Poset
-from .space import LabelMap, check_shape
+from .space import LabelMap, _check_cap, check_shape
 from .weights import WeightModel
 
-SPACE_CAP_DEFAULT = 10**7
 _CHUNK = 1 << 18
-_INDEX_MAX = 2**63 - 1
 _BYTE_KEYS = 256  # profile tables up to this size key their vectors in uint8
 _WITNESSES = 20
-
-
-def space_cap(cap: int | None = None) -> int:
-    """cap, or SPACE_CAP_DEFAULT for None, clamped to 2^63 - 1: sweeps index
-    vectors in int64."""
-    return min(SPACE_CAP_DEFAULT if cap is None else cap, _INDEX_MAX)
 
 
 @dataclass(frozen=True)
@@ -174,15 +167,6 @@ def _codeword_rows(code, start: int) -> Iterator[np.ndarray]:
     for lo in range(start, size, step):
         index = np.arange(lo, min(lo + step, size), dtype=np.int64)
         yield (index[:, None] // places % q) @ G % q
-
-
-def _check_cap(q: int, N: int, cap: int | None) -> int:
-    total = q**N
-    limit = space_cap(cap)
-    if total > limit:
-        why = " (the largest int64 vector index)" if limit == _INDEX_MAX else ""
-        raise ExplosionError(f"q^N = {total} exceeds space cap {limit}{why}")
-    return total
 
 
 class _Kernel(NamedTuple):

@@ -311,7 +311,11 @@ def fold_ideals(
         memo[piece] = value
         return value
 
-    return fold((1 << P.n) - 1)
+    try:
+        return fold((1 << P.n) - 1)
+    finally:
+        # fold's closure holds fold, a cycle: free memo's values now, not at a gc
+        memo.clear()
 
 
 _Listing = NamedTuple("_Listing", [("mask", int), ("weight", int), ("ideals", Callable)])

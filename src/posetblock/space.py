@@ -1,10 +1,10 @@
-"""Z_q^N addressed as n labeled blocks, and the (P,w,pi)-weight and distance.
+"""Z_q^N addressed as n labeled blocks, its size cap, and the (P,w,pi)-weight.
 
-A vector is a flat sequence of N symbols; block i is the slice
-[offsets[i-1], offsets[i-1] + k_i).  The weight of a vector sums the block
-weights (max symbol weight within the block) over the maximal elements of
-the ideal generated by its block support, plus M_w for every non-maximal
-element of that ideal.
+A vector is a flat sequence of N integer symbols, checked where it enters;
+block i is the slice [offsets[i-1], offsets[i-1] + k_i).  The weight of a
+vector sums the block weights (max symbol weight within the block) over the
+maximal elements of the ideal generated by its block support, plus M_w for
+every non-maximal element of that ideal.
 """
 
 from __future__ import annotations
@@ -12,9 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BoundsError, DimensionError, integer
+from .errors import BoundsError, DimensionError, ExplosionError, integer
 from .poset import Poset
 from .weights import WeightModel
+
+SPACE_CAP_DEFAULT = 10**7
+_INDEX_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -48,24 +51,6 @@ def label_map(ks: Sequence[int]) -> LabelMap:
     return LabelMap(k=ks, N=total, offsets=tuple(offsets))
 
 
-@dataclass(frozen=True)
-class BlockVector:
-    """A vector of Z_q^N together with its block structure."""
-
-    pi: LabelMap
-    entries: tuple[int, ...]
-
-    def block(self, i: int) -> tuple[int, ...]:
-        return self.entries[self.pi.block_slice(i)]
-
-
-def block_vector(pi: LabelMap, entries: Sequence[int]) -> BlockVector:
-    entries = tuple([integer(v, "vector entry") for v in entries])
-    if len(entries) != pi.N:
-        raise DimensionError(f"vector length {len(entries)} != N = {pi.N}")
-    return BlockVector(pi=pi, entries=entries)
-
-
 def check_shape(pi: LabelMap, n: int | None = None, code=None) -> None:
     """The one shape check: a poset or ideal on n elements must have one
     element per block of pi, and a code one column per coordinate;
@@ -76,12 +61,29 @@ def check_shape(pi: LabelMap, n: int | None = None, code=None) -> None:
         raise DimensionError(f"code length {code.n_cols} != N = {pi.N}")
 
 
-def _entries(pi: LabelMap, x) -> tuple[int, ...]:
-    if isinstance(x, BlockVector):
-        if x.pi.k != pi.k:
-            raise DimensionError("vector belongs to a different label map")
-        return x.entries
-    x = tuple(x)
+def space_cap(cap: int | None = None) -> int:
+    """cap, or SPACE_CAP_DEFAULT for None, clamped to 2^63 - 1: sweeps index
+    vectors in int64."""
+    return min(SPACE_CAP_DEFAULT if cap is None else cap, _INDEX_MAX)
+
+
+def _check_cap(q: int, N: int, cap: int | None) -> int:
+    """q^N, once it is within the space cap; ExplosionError otherwise."""
+    total = q**N
+    limit = space_cap(cap)
+    if total > limit:
+        why = " (the largest int64 vector index)" if limit == _INDEX_MAX else ""
+        raise ExplosionError(f"q^N = {total} exceeds space cap {limit}{why}")
+    return total
+
+
+def _symbols(x: Sequence[int]) -> tuple[int, ...]:
+    """The one symbol check: x as ints; BoundsError for a bool, float or string."""
+    return tuple([integer(v, "vector entry") for v in x])
+
+
+def _entries(pi: LabelMap, x: Sequence[int]) -> tuple[int, ...]:
+    x = _symbols(x)
     if len(x) != pi.N:
         raise DimensionError(f"vector length {len(x)} != N = {pi.N}")
     return x
@@ -99,6 +101,7 @@ def pi_support(pi: LabelMap, x) -> tuple[int, ...]:
 
 def block_weight(W: WeightModel, block: Sequence[int]) -> int:
     """Max of the componentwise symbol weights; 0 iff the block is zero."""
+    block = _symbols(block)
     if not block:
         raise BoundsError("empty block")
     return max(W.weight(v) for v in block)
@@ -128,6 +131,7 @@ def pwpi_weight(P: Poset, pi: LabelMap, W: WeightModel, x) -> int:
 
 def vector_sub(q: int, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
     """Componentwise x - y mod q."""
+    x, y = _symbols(x), _symbols(y)
     if len(x) != len(y):
         raise DimensionError(f"vector lengths differ: {len(x)} vs {len(y)}")
     return tuple((a - b) % q for a, b in zip(x, y))
@@ -135,4 +139,4 @@ def vector_sub(q: int, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
 
 def pwpi_distance(P: Poset, pi: LabelMap, W: WeightModel, x, y) -> int:
     """Distance d(x, y) = weight of the componentwise difference mod q."""
-    return pwpi_weight(P, pi, W, vector_sub(W.q, _entries(pi, x), _entries(pi, y)))
+    return pwpi_weight(P, pi, W, vector_sub(W.q, x, y))

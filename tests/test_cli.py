@@ -681,6 +681,23 @@ def test_missing_or_unknown_command_exits_2(cfg45, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+def test_an_unknown_exception_exits_4(cfg45, capsys, monkeypatch):
+    # the interpreter would exit 1, the code of a table mismatch
+    def crash(cfg, args):
+        raise RuntimeError("no such case")
+
+    monkeypatch.setitem(cli.COMMANDS, "classify", crash)
+    code, out, err = run(capsys, "classify", "--config", cfg45)
+    assert (code, out, err) == (4, "", "internal error: RuntimeError: no such case\n")
+
+    def interrupted(cfg, args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli.COMMANDS, "classify", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["classify", "--config", cfg45])
+
+
 def test_help_names_every_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -770,6 +787,11 @@ for argv in (["distribution"], ["ball"], ["ball", "--radius", "2"],
     with contextlib.redirect_stdout(io.StringIO()):
         assert posetblock.cli.main([*argv, "--config", path]) == 0, argv
     assert "numpy" not in sys.modules, argv
+# past the space cap, r-balls that do not fill the space answer with no sweep
+C = pb.linear_code(7, [[1] * 6])
+P = pb.build_poset(3, [(1, 2), (2, 3)])
+assert not pb.is_r_perfect(C, 1, P, pb.label_map([2, 2, 2]), pb.lee_weight(7), cap=100)
+assert "numpy" not in sys.modules
 from posetblock import (MetricAxiomReport, OracleResult, PerfectnessResult,
                         oracle_metric_axioms, oracle_perfectness)
 assert callable(pb.oracle_distribution) and pb.oracle.__name__ == "posetblock.oracle"

@@ -1,5 +1,5 @@
 """Input checks: one shape check for every entry point, one integer check
-for every builder, called through the library."""
+for every builder and every vector symbol, called through the library."""
 
 from __future__ import annotations
 
@@ -99,11 +99,18 @@ def test_a_table_count_is_a_decimal_string_or_an_integer():
 # a 3-chain of unit blocks at q = 5 and a one-dimensional code on it
 SPACE = (chain(3), pb.label_map([1, 1, 1]))
 CODE = pb.chain_mds_code(*SPACE, 5, 1)
+IDEAL = pb.ideal_closure(SPACE[0], {1})
 
-# each builder, with the one integer it is handed and a valid value for it
+# each builder and each function of vectors, with the one integer it is
+# handed and a valid value for it
 BUILDERS = {
     "label_map": (lambda v: pb.label_map([v, 2]).k, 2),
-    "block_vector": (lambda v: pb.block_vector(pb.label_map([2]), [v, 0]).entries, 2),
+    "pi_support": (lambda v: pb.pi_support(SPACE[1], [0, v, 0]), 2),
+    "pwpi_weight": (lambda v: pb.pwpi_weight(*SPACE, W, [0, v, 0]), 2),
+    "pwpi_distance": (lambda v: pb.pwpi_distance(*SPACE, W, [0, 0, 0], [0, v, 0]), 2),
+    "vector_sub": (lambda v: pb.vector_sub(5, [v, 0], [0, 1]), 2),
+    "block_weight": (lambda v: pb.block_weight(W, [0, v]), 2),
+    "i_ball_contains": (lambda v: pb.i_ball_contains(SPACE[1], 5, IDEAL, [v, 0, 0], [0] * 3), 2),
     "build_poset n": (lambda v: pb.build_poset(v, [(1, 2)]).down, 3),
     "build_poset relation": (lambda v: pb.build_poset(3, [(1, v)]).down, 2),
     "poset_from_json": (lambda v: pb.poset_from_json({"n": 3, "relations": [[v, 3]]}).down, 2),

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import re
+import weakref
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -11,7 +13,7 @@ from math import comb
 import pytest
 
 import posetblock as pb
-from conftest import antichain, chain
+from conftest import antichain, chain, fence
 
 
 def random_poset(n: int, rng: random.Random) -> pb.Poset:
@@ -262,3 +264,28 @@ def test_ideals_with_sum_honours_the_cap():
     with pytest.raises(pb.ExplosionError, match="maximal element exceed cap 5"):
         pb.poset.ideals_with_sum(P, [1] * 12, 2, cap=5)
     assert pb.poset.ideals_with_sum(P, [1] * 12, 2, cap=6) == [0b11, 0b10001]
+
+
+def test_fold_ideals_frees_its_values_when_it_returns():
+    # fold refers to itself through its closure, so with the collector off
+    # only the memo's clearing frees the values it holds
+    class Value:
+        pass
+
+    refs = []
+
+    def value(*args):
+        v = Value()
+        refs.append(weakref.ref(v))
+        return v
+
+    P = pb.build_poset(*fence(6))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        pb.poset.fold_ideals(P, value(), value, value, value, value)
+        alive = sum(ref() is not None for ref in refs)
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(refs) > 6 and alive == 0

@@ -19,14 +19,6 @@ def test_label_map():
         pb.label_map([2, 0])
 
 
-def test_block_vector():
-    pi = pb.label_map([2, 1])
-    v = pb.block_vector(pi, [1, 2, 3])
-    assert v.block(1) == (1, 2) and v.block(2) == (3,)
-    with pytest.raises(pb.DimensionError):
-        pb.block_vector(pi, [1, 2])
-
-
 def test_pi_support(ex45):
     _, pi, _ = ex45
     assert pb.pi_support(pi, [0] * 13) == ()
@@ -140,17 +132,3 @@ def test_dimension_errors(ex45):
         pb.pwpi_distance(P, pi, W, [0] * 13, [0] * 12)
     with pytest.raises(pb.DimensionError):
         pb.pwpi_weight(pb.build_poset(3, []), pi, W, [0] * 13)
-
-
-def test_block_vectors_are_read_on_their_own_label_map(ex45):
-    P, pi, W = ex45
-    x = [1, 0, 0, 0, 3, 0, 0, 0, 0, 2, 0, 0, 0]
-    v = pb.block_vector(pi, x)
-    assert pb.pi_support(pi, v) == pb.pi_support(pi, x) == (1, 2, 4)
-    assert pb.pwpi_weight(P, pi, W, v) == pb.pwpi_weight(P, pi, W, x)
-    # the same 13 entries cut into other blocks
-    other = pb.block_vector(pb.label_map([3, 2, 4, 2, 2]), x)
-    with pytest.raises(pb.DimensionError, match="different label map"):
-        pb.pi_support(pi, other)
-    with pytest.raises(pb.DimensionError, match="different label map"):
-        pb.pwpi_weight(P, pi, W, other)
