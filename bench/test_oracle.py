@@ -10,12 +10,13 @@ Like bench/test_perfectness.py, every rung calls only the public API, so
 rung in its own process on two trees.  Each rung stores the process's peak
 RSS (MiB), the sweep rate (vectors per second at the median round), the
 number of block-weight profiles (radix^n, radix the number of distinct
-symbol weights), the size of the kernel's profile table in MiB, to 0.1
-(0 on a tree that keeps no table past a chunk of profiles) and the bytes per
-profile key (1 for uint8 keys, a table of at most 256 profiles on a tree
-that narrows them, else 8 for int64), in its extra_info, so the JSON says
-which path each rung timed.  Every figure is a number, as
-bench/compare.py takes their median.
+symbol weights), the size of the kernel's profile table in MiB, to 0.1,
+and the bytes per profile key (1 for uint8 keys, a table of at most 256
+profiles on a tree that narrows them, else 8 for int64), in its extra_info,
+so the JSON says which path each rung timed.  Every figure is a number, as
+bench/compare.py takes their median.  The table is read through
+oracle._profiles, or through oracle._weigher on a tree that has no
+_profiles, so the module times either tree.
 """
 
 from __future__ import annotations
@@ -91,7 +92,10 @@ def test_rung(benchmark, rung):
     benchmark.extra_info["vectors_per_s"] = round(result.total / benchmark.stats.stats.median)
     profiles = len(set(W.table)) ** pi.n
     benchmark.extra_info["profiles"] = profiles
-    table = pb.oracle._weigher(P, pi, W).table
-    benchmark.extra_info["table_mib"] = 0 if table is None else round(table.nbytes / 2**20, 1)
+    if hasattr(pb.oracle, "_profiles"):
+        table = pb.oracle._profiles(P, pi, W)[3]
+    else:
+        table = pb.oracle._weigher(P, pi, W).table
+    benchmark.extra_info["table_mib"] = round(table.nbytes / 2**20, 1)
     byte_keys = profiles <= min(getattr(pb.oracle, "_BYTE_KEYS", 0), pb.oracle._CHUNK)
     benchmark.extra_info["key_bytes"] = 1 if byte_keys else 8

@@ -4,22 +4,23 @@ Vectors are indexed in odometer order (last coordinate fastest) and
 processed in chunks of at most 2^18 indices.  The weight histogram sweeps
 every index in [0, q^N).  Block weights are ranked on one scale, the
 distinct symbol weights, by brute enumeration of each block's q^k_i
-values, and every vector is keyed by its block-weight profile; each
-profile's weight is computed by the definitional closure/maximals rule.
-One kernel does this keying and weighing for every sweep.  A vector's
-profile key is a sum of per-block terms, and the trailing blocks run
-fastest, so the terms of the longest suffix of blocks that fits a chunk
-are summed once into an outer-sum array, built from the last block
-backwards, and a range's keys add that array to the key of each leading
-index it meets; a space of one range has no leading index, and its keys
-are the outer sum itself.  The kernel weighs every profile once, into a
-table of 8 bytes per profile.  The histogram adds up the number of
-vectors per profile key over the ranges and folds those counts into
-weights at the end, or, past a chunk of profiles, counts each range's
-weights.  A table of at most 256 profiles keys its vectors in one byte
-each and counts them two at a time, as uint16 pairs; every other sweep
-keys them in int64.  Nothing here touches the ideal counting machinery
-or the code module, so agreement with the closed forms checks the theorems.
+values, and every vector is keyed by its block-weight profile.  The weight
+kernel is two functions.  _profiles is the one place that weighs
+profiles: it weighs every profile once, by the definitional
+closure/maximals rule, into a table of 8 bytes per profile.  _sweep_keys
+is the one place that keys index ranges.  A vector's profile key is a sum
+of per-block terms, and the trailing blocks run fastest, so the terms of
+the longest suffix of blocks that fits a chunk are summed once into an
+outer-sum array, built from the last block backwards, and a range's keys
+add that array to the key of each leading index it meets; a space of one
+range has no leading index, and its keys are the outer sum itself.  The
+histogram adds up the number of vectors per profile key over the ranges
+and folds those counts into weights at the end, or, past a chunk of
+profiles, counts each range's weights.  A table of at most 256 profiles
+keys its vectors in one byte each and counts them two at a time, as
+uint16 pairs; every other sweep keys them in int64.  Nothing here touches
+the ideal counting machinery or the code module, so agreement with the
+closed forms checks the theorems.
 
 Perfectness verdicts count per coset instead of per codeword, using only
 the linearity of the code: r-balls and I-balls are both translates of a
@@ -27,9 +28,9 @@ ball around 0, so a vector's number of balls is the number of ball
 vectors in its coset.  The ball around 0 is enumerated when it holds at
 most half the space: the I-ball is one box, a product of block codes, and
 the r-ball is a union of boxes, one per block-weight profile of weight
-<= r in the kernel's profile table.  Otherwise it is marked in one sweep
-of the space.  Either way its vectors are keyed by coset representative,
-read off the code's stored echelon form.
+<= r in the profile table.  Otherwise it is marked in one sweep of the
+space.  Either way its vectors are keyed by coset representative, read
+off the code's stored echelon form.
 
 This is the one module of the package that imports numpy.  The others
 import it only where a brute-force path runs (the package serves its names
@@ -43,7 +44,6 @@ import hashlib
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -169,34 +169,6 @@ def _codeword_rows(code, start: int) -> Iterator[np.ndarray]:
         yield (index[:, None] // places % q) @ G % q
 
 
-class _Kernel(NamedTuple):
-    """The one weight kernel, built by _weigher.
-
-    weigh(lo, hi) gives the weights of the vectors with index in [lo, hi).
-    count(lo, hi) gives an int64 array of vector counts for [lo, hi); the
-    counts of several ranges add elementwise, and fold(counts) turns their
-    sum into the weight histogram, an int64 array indexed by weight 0 ..
-    n * M_w.  A vector's profile is its tuple of block weights, keyed as
-    the number whose base-radix digits are the blocks' ranks[i][code_i],
-    block 0 most significant; radix is the number of distinct symbol
-    weights, and table holds the weight of every profile key.  count
-    tallies the keys of at most a chunk of profiles, in uint8 pairs
-    (_count_byte_keys) for at most 256, else in int64; past a chunk it
-    gives each range's weight histogram.  The keys of a range are sums of
-    a leading part and a trailing part (see _weigher), or the trailing
-    part alone when the space is one range; they are built per key dtype
-    on the first weigh or count call that needs them, so a kernel read
-    only for its table costs no sweep set-up.
-    """
-
-    weigh: Callable[[int, int], np.ndarray]
-    count: Callable[[int, int], np.ndarray]
-    fold: Callable[[np.ndarray], np.ndarray]
-    ranks: list
-    radix: int
-    table: np.ndarray
-
-
 def _suffix_start(sizes: list[int]) -> int:
     """The first block of the longest suffix of blocks whose q^k_i multiply
     to at most a chunk; len(sizes) when the last block alone exceeds one."""
@@ -222,25 +194,44 @@ def _count_byte_keys(keys: np.ndarray, n: int) -> np.ndarray:
     return counts
 
 
-def _weigher(P: Poset, pi: LabelMap, W: WeightModel) -> _Kernel:
-    """Build the one weight kernel.
+def _profiles(
+    P: Poset, pi: LabelMap, W: WeightModel
+) -> tuple[list[np.ndarray], int, list[int], np.ndarray]:
+    """(ranks, radix, key_places, table): the block-weight profiles and the
+    weight of each, the one place that weighs profiles.
 
-    Vectors are keyed by their block-weight profile, and table holds the
-    definitional weight of every profile, computed once, a chunk of keys at
-    a time (one chunk is the table itself, with no copy).  It costs 8 bytes
-    per profile and has at most q^N entries (radix <= q, n <= N), the bound
-    of every oracle array; every caller has checked q^N against the space
-    cap.  With at most a chunk of profiles, count gives the number of
-    vectors per profile key, and fold adds each key's count to its weight
-    once, after the sweep; past a chunk, count gives a range's weight
-    histogram, so no count outgrows its range, and fold keeps the
-    sum.  Counts stay int64: a float bincount(weights=) is not exact past
-    2^53, and a space may hold up to 2^63 - 1 vectors.  With at most 256
-    profiles every key fits a byte, so count builds its key tables, tail
-    and head_key in uint8 (a sum of key terms is a key, so none overflows),
-    cutting the bytes the outer sums write eightfold, and tallies the keys
-    in pairs with one bincount over uint16 views.  Every other key is int64,
-    as table[keys] gathers fastest with intp indices.
+    A vector's profile is its tuple of block weights, keyed as the number
+    whose base-radix digits are the blocks' ranks[i][code_i] (_rank_tables),
+    block 0 most significant, so block i's digit has place key_places[i];
+    radix is the number of distinct symbol weights.  table holds the
+    definitional weight of every profile key, computed once, a chunk of
+    keys at a time.  It costs 8 bytes per profile and has at most q^N
+    entries (radix <= q, n <= N), the bound of every oracle array; every
+    caller has checked q^N against the space cap.
+    """
+    levels, ranks = _rank_tables(pi, W)
+    radix = len(levels)
+    key_places = [radix ** (pi.n - 1 - i) for i in range(pi.n)]
+    leq, strict = _order_matrices(P)
+    table = np.empty(radix**pi.n, dtype=np.int64)
+    for lo, hi in _ranges(len(table)):
+        keys = np.arange(lo, hi, dtype=np.int64)
+        wmat = np.empty((hi - lo, pi.n), dtype=np.int64)
+        for i in range(pi.n):
+            wmat[:, i] = levels[keys // key_places[i] % radix]
+        del keys  # free each slice's arrays before the next slice's, or the peak grows
+        table[lo:hi] = _weights_from_block_weights(leq, strict, W.M_w, wmat)
+        del wmat
+    return ranks, radix, key_places, table
+
+
+def _sweep_keys(
+    pi: LabelMap, q: int, profiles: tuple, dtype: type
+) -> Callable[[int, int], np.ndarray]:
+    """keys(lo, hi): the profile keys, in dtype, of the vectors with index
+    in [lo, hi), for the profiles of _profiles; the one place that keys
+    index ranges.  Its key tables are all built here, before any range is
+    keyed, so threads can share keys.
 
     In odometer order the trailing blocks run fastest, so index
     h * span + t, with span the size of the longest suffix of blocks that
@@ -252,31 +243,23 @@ def _weigher(P: Poset, pi: LabelMap, W: WeightModel) -> _Kernel:
     head[:, None] + tail for the leading indices it meets, sliced to the
     range, so only those (hi - lo) / span indices are divided.  When the
     suffix is every block, the space is one range, and its keys are
-    tail[lo:hi] with no head added.
+    tail[lo:hi] with no head added.  A sum of key terms is a key, so uint8
+    keys, for at most 256 profiles, never overflow, and they cut the bytes
+    the outer sums write eightfold.
     """
-    levels, ranks = _rank_tables(pi, W)
-    sizes, places = _index_places(pi, W.q)
-    radix = len(levels)
-    n_profiles = radix**pi.n
-    key_places = [radix ** (pi.n - 1 - i) for i in range(pi.n)]
-    leq, strict = _order_matrices(P)
+    ranks, _, key_places, _ = profiles
+    sizes, places = _index_places(pi, q)
+    # key_tables[i] maps a block code straight to its term of the key
+    key_tables = [(rank * kp).astype(dtype, copy=False) for rank, kp in zip(ranks, key_places)]
+    start = _suffix_start(sizes)
+    tail = np.zeros(1, dtype=dtype)
+    for i in reversed(range(start, pi.n)):
+        tail = (key_tables[i][:, None] + tail).ravel()
+    span = len(tail)
 
-    built: dict = {}  # key dtype -> (suffix start, key tables, tail), on first use
-
-    def profiles(lo: int, hi: int, dtype=np.int64) -> np.ndarray:
-        if dtype not in built:
-            # key_tables[i] maps a block code straight to its term of the key
-            key_tables = [(rank * kp).astype(dtype, copy=False)
-                          for rank, kp in zip(ranks, key_places)]
-            start = _suffix_start(sizes)
-            tail = np.zeros(1, dtype=dtype)
-            for i in reversed(range(start, pi.n)):
-                tail = (key_tables[i][:, None] + tail).ravel()
-            built[dtype] = (start, key_tables, tail)
-        start, key_tables, tail = built[dtype]
+    def keys(lo: int, hi: int) -> np.ndarray:
         if start == 0:  # the whole space is one range, keyed by tail alone
             return tail[lo:hi]
-        span = len(tail)
         h0, h1 = lo // span, -(-hi // span)
         head = np.arange(h0, h1, dtype=np.int64)
         head_key = np.zeros(h1 - h0, dtype=dtype)
@@ -285,41 +268,7 @@ def _weigher(P: Poset, pi: LabelMap, W: WeightModel) -> _Kernel:
         key = (head_key[:, None] + tail).ravel()
         return key[lo - h0 * span : hi - h0 * span]
 
-    def profile_weights(lo: int, hi: int) -> np.ndarray:
-        keys = np.arange(lo, hi, dtype=np.int64)
-        wmat = np.empty((hi - lo, pi.n), dtype=np.int64)
-        for i in range(pi.n):
-            wmat[:, i] = levels[keys // key_places[i] % radix]
-        return _weights_from_block_weights(leq, strict, W.M_w, wmat)
-
-    slices = _ranges(n_profiles)
-    keyed = len(slices) == 1  # count profile keys, else each range's weights
-    if keyed:
-        table = profile_weights(0, n_profiles)
-    else:
-        table = np.empty(n_profiles, dtype=np.int64)
-        for lo, hi in slices:
-            table[lo:hi] = profile_weights(lo, hi)
-    n_weights = pi.n * W.M_w + 1
-
-    def weigh(lo: int, hi: int) -> np.ndarray:
-        return table[profiles(lo, hi)]
-
-    def count(lo: int, hi: int) -> np.ndarray:
-        if not keyed:
-            return np.bincount(weigh(lo, hi), minlength=n_weights)
-        if n_profiles <= _BYTE_KEYS:
-            return _count_byte_keys(profiles(lo, hi, np.uint8), n_profiles)
-        return np.bincount(profiles(lo, hi), minlength=n_profiles)
-
-    def fold(counts: np.ndarray) -> np.ndarray:
-        if not keyed:
-            return counts
-        hist = np.zeros(n_weights, dtype=np.int64)
-        np.add.at(hist, table, counts)
-        return hist
-
-    return _Kernel(weigh, count, fold, ranks, radix, table)
+    return keys
 
 
 def oracle_distribution(
@@ -332,11 +281,16 @@ def oracle_distribution(
 ) -> OracleResult:
     """Exact weight histogram of the whole space by exhaustive sweep.
 
-    Every vector is keyed by its own block-weight profile.  The kernel
-    counts the keys of each index range, the ranges' counts are summed in
-    int64, and the sum is folded into the histogram once.  The first range
-    is counted on the calling thread, which builds the kernel's outer sum;
-    with threads > 1 the other ranges are then counted in a thread pool.
+    Every vector is keyed by its own block-weight profile.  With at most a
+    chunk of profiles, each index range counts its keys, in uint8 pairs
+    (_count_byte_keys) for at most 256 profiles, else in int64; the ranges'
+    counts are summed, and each key's count is added to its weight once,
+    after the sweep.  Past a chunk of profiles each range counts the
+    weights its keys read from the table, so no count outgrows its range.
+    Counts stay int64: a float bincount(weights=) is not exact past 2^53,
+    and a space may hold up to 2^63 - 1 vectors.  The keys are built
+    before any range is counted, so every range is counted the same way,
+    and with threads > 1 in a thread pool.
     """
     check_shape(pi, P.n)
     threads = integer(threads, "thread count")
@@ -344,15 +298,30 @@ def oracle_distribution(
         raise BoundsError(f"thread count {threads} < 1")
     q = W.q
     total = _check_cap(q, pi.N, cap)
-    kernel = _weigher(P, pi, W)
-    first, *rest = _ranges(total)
-    counts = kernel.count(*first)  # builds the kernel's outer sum before a worker reads it
-    if threads > 1 and len(rest) > 1:  # a pool for one range only costs
+    *_, table = profiles = _profiles(P, pi, W)
+    n_profiles, n_weights = len(table), pi.n * W.M_w + 1
+    keyed = n_profiles <= _CHUNK  # count profile keys, else each range's weights
+    byte_keys = keyed and n_profiles <= _BYTE_KEYS
+    keys = _sweep_keys(pi, q, profiles, np.uint8 if byte_keys else np.int64)
+
+    def count(lo: int, hi: int) -> np.ndarray:
+        if byte_keys:
+            return _count_byte_keys(keys(lo, hi), n_profiles)
+        if keyed:
+            return np.bincount(keys(lo, hi), minlength=n_profiles)
+        return np.bincount(table[keys(lo, hi)], minlength=n_weights)
+
+    ranges = _ranges(total)
+    if threads > 1 and len(ranges) > 1:  # a pool for one range only costs
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts += sum(pool.map(kernel.count, *zip(*rest)))
+            counts = sum(pool.map(count, *zip(*ranges)))
     else:
-        counts += sum(kernel.count(lo, hi) for lo, hi in rest)
-    hist = kernel.fold(counts)
+        counts = sum(count(lo, hi) for lo, hi in ranges)
+    if keyed:  # fold each profile key's count into its weight
+        hist = np.zeros(n_weights, dtype=np.int64)
+        np.add.at(hist, table, counts)
+    else:
+        hist = counts
     histogram = {r: int(c) for r, c in enumerate(hist)}
     return OracleResult(
         histogram=histogram,
@@ -401,10 +370,11 @@ def _ball(
 
     A ball of at most half the space is enumerated: the I-ball is one box,
     any code in a block of I and 0 elsewhere; the r-ball is the union, over
-    the kernel's profiles of weight <= r, of the boxes whose block i holds
-    the codes with that profile's weight.  The I-ball of every block is the
-    whole space, taken in index ranges, and a larger r-ball is marked in a
-    sweep of the whole space.
+    the profiles of weight <= r (_profiles), of the boxes whose block i
+    holds the codes with that profile's weight.  The I-ball of every block
+    is the whole space, taken in index ranges, and a larger r-ball is marked
+    in a sweep of the whole space, whose keys (_sweep_keys) are built only
+    when its chunks are first read.
     """
     q = W.q
     total = q**pi.N
@@ -424,12 +394,11 @@ def _ball(
             [places[i] for i in inside],
         )
         return size, chunks
-    kernel = _weigher(P, pi, W)
-    keys = np.flatnonzero(kernel.table <= radius)
-    radix = kernel.radix
-    key_places = [radix ** (pi.n - 1 - i) for i in range(pi.n)]
+    ranks, radix, key_places, table = profiles = _profiles(P, pi, W)
+    in_ball = table <= radius
+    keys = np.flatnonzero(in_ball)
     grouped = {}  # block length -> (codes ordered by rank, group starts)
-    for k, rank in zip(pi.k, kernel.ranks):
+    for k, rank in zip(pi.k, ranks):
         if k not in grouped:
             starts = np.zeros(radix + 1, dtype=np.int64)
             np.cumsum(np.bincount(rank, minlength=radix), out=starts[1:])
@@ -442,9 +411,13 @@ def _ball(
     size = int(box_sizes.sum())
     if 2 * size <= total:
         return size, _box_chunks(keys, box_sizes, key_places, groups, places)
-    return size, (
-        lo + np.flatnonzero(kernel.weigh(lo, hi) <= radius) for lo, hi in _ranges(total)
-    )
+
+    def swept() -> Iterator[np.ndarray]:
+        sweep = _sweep_keys(pi, q, profiles, np.int64)
+        for lo, hi in _ranges(total):
+            yield lo + np.flatnonzero(in_ball[sweep(lo, hi)])
+
+    return size, swept()
 
 
 def _r_ball_perfectness(

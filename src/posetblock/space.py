@@ -1,10 +1,11 @@
 """Z_q^N addressed as n labeled blocks, its size cap, and the (P,w,pi)-weight.
 
-A vector is a flat sequence of N integer symbols, checked where it enters;
-block i is the slice [offsets[i-1], offsets[i-1] + k_i).  The weight of a
-vector sums the block weights (max symbol weight within the block) over the
-maximal elements of the ideal generated by its block support, plus M_w for
-every non-maximal element of that ideal.
+A vector is a flat sequence of N integer symbols, checked where it enters,
+and held to [0, q) wherever q is known; block i is the slice
+[offsets[i-1], offsets[i-1] + k_i).  The weight of a vector sums the block
+weights (max symbol weight within the block) over the maximal elements of
+the ideal generated by its block support, plus M_w for every non-maximal
+element of that ideal.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 
 from .errors import BoundsError, DimensionError, ExplosionError, integer
 from .poset import Poset
-from .weights import WeightModel
+from .weights import WeightModel, _alphabet
 
 SPACE_CAP_DEFAULT = 10**7
 _INDEX_MAX = 2**63 - 1
@@ -77,20 +78,27 @@ def _check_cap(q: int, N: int, cap: int | None) -> int:
     return total
 
 
-def _symbols(x: Sequence[int]) -> tuple[int, ...]:
-    """The one symbol check: x as ints; BoundsError for a bool, float or string."""
-    return tuple([integer(v, "vector entry") for v in x])
+def _symbols(x: Sequence[int], q: int | None = None) -> tuple[int, ...]:
+    """The one symbol check: x as ints; BoundsError for a bool, float or
+    string, and, when q is given, for a symbol outside [0, q)."""
+    x = tuple([integer(v, "vector entry") for v in x])
+    if q is not None:
+        for v in x:
+            if not 0 <= v < q:
+                raise BoundsError(f"vector entry {v} outside [0, {q})")
+    return x
 
 
-def _entries(pi: LabelMap, x: Sequence[int]) -> tuple[int, ...]:
-    x = _symbols(x)
+def _entries(pi: LabelMap, x: Sequence[int], q: int | None = None) -> tuple[int, ...]:
+    x = _symbols(x, q)
     if len(x) != pi.N:
         raise DimensionError(f"vector length {len(x)} != N = {pi.N}")
     return x
 
 
 def pi_support(pi: LabelMap, x) -> tuple[int, ...]:
-    """Labels of the nonzero blocks of x, ascending."""
+    """Labels of the nonzero blocks of x, ascending.  pi carries no q, so
+    the raw symbols are read: any nonzero integer marks its block."""
     e = _entries(pi, x)
     return tuple(
         i
@@ -101,7 +109,7 @@ def pi_support(pi: LabelMap, x) -> tuple[int, ...]:
 
 def block_weight(W: WeightModel, block: Sequence[int]) -> int:
     """Max of the componentwise symbol weights; 0 iff the block is zero."""
-    block = _symbols(block)
+    block = _symbols(block, W.q)
     if not block:
         raise BoundsError("empty block")
     return max(W.weight(v) for v in block)
@@ -110,7 +118,7 @@ def block_weight(W: WeightModel, block: Sequence[int]) -> int:
 def pwpi_weight(P: Poset, pi: LabelMap, W: WeightModel, x) -> int:
     """Weight of x: block weights on the maximals of <supp_pi(x)>, M_w elsewhere."""
     check_shape(pi, P.n)
-    e = _entries(pi, x)
+    e = _entries(pi, x, W.q)
     supp_mask = 0
     bw = {}
     for i in range(1, pi.n + 1):
@@ -130,8 +138,9 @@ def pwpi_weight(P: Poset, pi: LabelMap, W: WeightModel, x) -> int:
 
 
 def vector_sub(q: int, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
-    """Componentwise x - y mod q."""
-    x, y = _symbols(x), _symbols(y)
+    """Componentwise x - y mod q, for an integer q >= 2."""
+    q = _alphabet(q)
+    x, y = _symbols(x, q), _symbols(y, q)
     if len(x) != len(y):
         raise DimensionError(f"vector lengths differ: {len(x)} vs {len(y)}")
     return tuple((a - b) % q for a, b in zip(x, y))

@@ -537,6 +537,14 @@ def test_dual_code():
     assert pb.dual_code(pb.dual_code(zero)) == zero
 
 
+def test_dual_code_over_a_non_prime_alphabet():
+    # the dual's rows go through linear_code, whose prime check comes first:
+    # a code of some free columns, of none and of all of them
+    for generator, n in ([((1, 2, 3),), 3], [((1, 0), (0, 1)), 2], [(), 2]):
+        with pytest.raises(pb.NonPrimeError, match="alphabet size 4 is not prime"):
+            pb.dual_code(pb.LinearCode(q=4, n_cols=n, generator=generator))
+
+
 def test_pivots_are_the_stored_echelon_pivots():
     # the third row is the sum of the first two
     C = pb.linear_code(5, [[0, 2, 4, 1, 0], [0, 1, 2, 3, 1], [0, 3, 1, 4, 1]])

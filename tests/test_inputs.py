@@ -109,8 +109,10 @@ BUILDERS = {
     "pwpi_weight": (lambda v: pb.pwpi_weight(*SPACE, W, [0, v, 0]), 2),
     "pwpi_distance": (lambda v: pb.pwpi_distance(*SPACE, W, [0, 0, 0], [0, v, 0]), 2),
     "vector_sub": (lambda v: pb.vector_sub(5, [v, 0], [0, 1]), 2),
+    "vector_sub q": (lambda v: pb.vector_sub(v, [1, 0], [0, 1]), 5),
     "block_weight": (lambda v: pb.block_weight(W, [0, v]), 2),
     "i_ball_contains": (lambda v: pb.i_ball_contains(SPACE[1], 5, IDEAL, [v, 0, 0], [0] * 3), 2),
+    "i_ball_contains q": (lambda v: pb.i_ball_contains(SPACE[1], v, IDEAL, [1, 0, 0], [0] * 3), 5),
     "build_poset n": (lambda v: pb.build_poset(v, [(1, 2)]).down, 3),
     "build_poset relation": (lambda v: pb.build_poset(3, [(1, v)]).down, 2),
     "poset_from_json": (lambda v: pb.poset_from_json({"n": 3, "relations": [[v, 3]]}).down, 2),
@@ -151,6 +153,35 @@ def test_builders_take_integers_only(name):
         for v in (float(value), value + 0.5, True, str(value), np.float64(value), np.bool_(True)):
             with pytest.raises(pb.BoundsError, match="must be an integer"):
                 build(v)
+
+
+# each function of vectors that knows q = 5, with the one symbol it is
+# handed; pi_support has no q and reads the raw symbols
+ALPHABET = {
+    "pwpi_weight": lambda v: pb.pwpi_weight(*SPACE, W, [0, v, 0]),
+    "pwpi_distance x": lambda v: pb.pwpi_distance(*SPACE, W, [0, v, 0], [0, 0, 0]),
+    "pwpi_distance y": lambda v: pb.pwpi_distance(*SPACE, W, [0, 0, 0], [0, v, 0]),
+    "vector_sub x": lambda v: pb.vector_sub(5, [v, 0], [0, 1]),
+    "vector_sub y": lambda v: pb.vector_sub(5, [0, 1], [v, 0]),
+    "block_weight": lambda v: pb.block_weight(W, [0, v]),
+    "i_ball_contains center": lambda v: pb.i_ball_contains(SPACE[1], 5, IDEAL, [v, 0, 0], [0] * 3),
+    "i_ball_contains x": lambda v: pb.i_ball_contains(SPACE[1], 5, IDEAL, [0] * 3, [v, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("name", list(ALPHABET))
+def test_symbols_lie_in_the_alphabet(name):
+    # 5 is 0 mod 5 and -1 is 4, but neither is a symbol of Z_5
+    call = ALPHABET[name]
+    call(4)
+    for v in (5, -1, 12, np.int64(5)):
+        with pytest.raises(pb.BoundsError, match=rf"vector entry {v} outside \[0, 5\)"):
+            call(v)
+
+
+def test_pi_support_reads_raw_symbols():
+    assert pb.pi_support(SPACE[1], [0, 5, 0]) == (2,)
+    assert pb.pi_support(SPACE[1], [-1, 0, 0]) == (1,)
 
 
 def test_a_relation_must_be_a_pair():

@@ -75,9 +75,9 @@ def test_threads_deterministic(ex45):
 
 
 def test_pool_builds_the_outer_sum_once(monkeypatch):
-    # the calling thread counts the first range, and so builds the kernel's
-    # outer sum, before the pool's workers read it; the slowed suffix
-    # search would let two workers that both found it unbuilt build it twice
+    # the sweep keys, outer sum included, are built before any range is
+    # counted, so the pool's workers only read them; the slowed suffix
+    # search would let two workers that both found them unbuilt build twice
     P = pb.build_poset(4, [(1, 3), (2, 3)])
     pi = pb.label_map([2, 1, 2, 1])
     W = pb.lee_weight(5)
@@ -113,13 +113,14 @@ def test_kernel_with_a_block_over_a_chunk():
     pi = pb.label_map([1, 19])
     W = pb.hamming_weight(2)
     assert pb.oracle._suffix_start([2, 2**19]) == 2
-    weigh = pb.oracle._weigher(P, pi, W).weigh
+    profiles = pb.oracle._profiles(P, pi, W)
+    keys = pb.oracle._sweep_keys(pi, W.q, profiles, np.int64)
     for lo, hi in [(0, 5), (2**19 - 3, 2**19 + 4), (2**20 - 7, 2**20)]:
         want = [
             pb.pwpi_weight(P, pi, W, [v >> (19 - c) & 1 for c in range(20)])
             for v in range(lo, hi)
         ]
-        assert weigh(lo, hi).tolist() == want
+        assert profiles[3][keys(lo, hi)].tolist() == want
     res = pb.oracle_distribution(P, pi, W)
     assert res.to_table().counts == pb.distribution_chain(P, pi, W).counts
 
@@ -130,11 +131,12 @@ def test_kernel_ranks_every_block_on_one_scale():
     P = pb.build_poset(3, [(1, 3)])
     pi = pb.label_map([1, 3, 2])
     for W in (pb.lee_weight(7), pb.custom_weight(5, [0, 3, 3, 3, 3])):
-        kernel = pb.oracle._weigher(P, pi, W)
+        ranks, radix, key_places, table = pb.oracle._profiles(P, pi, W)
         levels = sorted(set(W.table))
-        assert kernel.radix == len(levels)
-        assert len(kernel.table) == kernel.radix**pi.n
-        for k, rank in zip(pi.k, kernel.ranks):
+        assert radix == len(levels)
+        assert len(table) == radix**pi.n
+        assert key_places == [radix ** (pi.n - 1 - i) for i in range(pi.n)]
+        for k, rank in zip(pi.k, ranks):
             want = [
                 max(W.table[code // W.q**t % W.q] for t in range(k))
                 for code in range(W.q**k)
@@ -176,11 +178,30 @@ def test_profile_box_spans_several_chunks(monkeypatch):
     pi = pb.label_map([3, 2])
     W = pb.lee_weight(3)
     monkeypatch.setattr(pb.oracle, "_CHUNK", 8)
-    assert len(pb.oracle._weigher(P, pi, W).table) == 4
+    assert len(pb.oracle._profiles(P, pi, W)[3]) == 4
     size, chunks = pb.oracle._ball(P, pi, W, radius=1)
     assert size == 1 + 26 + 8 and len(list(chunks)) == 5
     for rows in ([[1, 2, 0, 1, 1]], [[1, 0, 0, 2, 1], [0, 0, 1, 1, 1]]):
         _check_perfectness(P, pi, W, pb.linear_code(3, rows))
+
+
+def test_sweep_keys_only_for_a_swept_ball(monkeypatch, ex69):
+    # a ball of at most half the space is enumerated box by box, and a
+    # pigeonholed one is never read, so neither keys the space; the chain
+    # code's 12-balls are more than half of Z_7^8 and are swept once
+    spy = mock.Mock(wraps=pb.oracle._sweep_keys)
+    monkeypatch.setattr(pb.oracle, "_sweep_keys", spy)
+    P, pi, W, C = ex69
+    assert not pb.is_r_perfect(C, 12, P, pi, W)  # 7 * |B_12(0)| > 7^8
+    P = chain(4)
+    pi = pb.label_map([2, 2, 2, 2])
+    W = pb.lee_weight(7)
+    C = pb.chain_mds_code(P, pi, 7, 4)
+    assert C.size == 2401
+    assert pb.oracle_perfectness(C, P, pi, W, radius=3).disjoint
+    spy.assert_not_called()
+    assert not pb.oracle_perfectness(C, P, pi, W, radius=12).disjoint
+    spy.assert_called_once()
 
 
 def test_coset_keys_near_the_int64_limit():
@@ -210,7 +231,8 @@ def test_space_cap_never_exceeds_int64(monkeypatch):
     def unreachable(*args):
         raise AssertionError("a sweep started past the int64 index limit")
 
-    monkeypatch.setattr(pb.oracle, "_weigher", unreachable)
+    monkeypatch.setattr(pb.oracle, "_profiles", unreachable)
+    monkeypatch.setattr(pb.oracle, "_sweep_keys", unreachable)
     monkeypatch.setattr(pb.oracle, "_ranges", unreachable)
     P = antichain(2)
     pi = pb.label_map([32, 32])

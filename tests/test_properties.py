@@ -57,6 +57,7 @@ from itertools import accumulate, combinations, product
 from math import prod
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -582,10 +583,11 @@ def test_kernel_weighs_every_range_like_pwpi_weight(case):
     sizes = [W.q**k for k in pi.k]
     with mock.patch.object(pb.oracle, "_CHUNK", chunk):
         assert pb.oracle._suffix_start(sizes) == start
-        weigh = pb.oracle._weigher(P, pi, W).weigh
+        profiles = pb.oracle._profiles(P, pi, W)
+        keys = pb.oracle._sweep_keys(pi, W.q, profiles, np.int64)
         for lo, hi in ranges:
             want = [pb.pwpi_weight(P, pi, W, _vector(v, W.q, pi.N)) for v in range(lo, hi)]
-            assert weigh(lo, hi).tolist() == want, (lo, hi)
+            assert profiles[3][keys(lo, hi)].tolist() == want, (lo, hi)
 
 
 @st.composite
@@ -625,9 +627,11 @@ def test_sweep_counts_like_pwpi_weight(case):
     total = W.q**pi.N
     want = _pwpi_histogram(P, pi, W)
     with mock.patch.object(pb.oracle, "_CHUNK", chunk):
-        kernel = pb.oracle._weigher(P, pi, W)
-        bins = len(kernel.table) if key_counts else pi.n * W.M_w + 1
-        assert len(kernel.count(0, chunk)) == bins
+        profiles = pb.oracle._profiles(P, pi, W)
+        keys = pb.oracle._sweep_keys(pi, W.q, profiles, np.int64)
+        # the table fits a chunk, so ranges count profile keys, or it does not
+        assert (len(profiles[3]) <= chunk) == key_counts
+        assert len(keys(0, chunk)) == chunk
         assert len(pb.oracle._ranges(total)) > 1
         for threads in (1, 2):
             res = pb.oracle_distribution(P, pi, W, threads=threads)
@@ -675,7 +679,7 @@ def test_odd_chunk_sweep_counts_like_pwpi_weight(case):
     paired = mock.Mock(wraps=pb.oracle._count_byte_keys)
     with mock.patch.object(pb.oracle, "_CHUNK", chunk), \
             mock.patch.object(pb.oracle, "_count_byte_keys", paired):
-        assert len(pb.oracle._weigher(P, pi, W).table) <= chunk
+        assert len(pb.oracle._profiles(P, pi, W)[3]) <= chunk
         assert len(pb.oracle._ranges(total)) > 1
         for threads in (1, 2):
             res = pb.oracle_distribution(P, pi, W, threads=threads)
@@ -696,11 +700,11 @@ def one_range_cases(draw):
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(one_range_cases())
 def test_one_range_sweep_counts_like_pwpi_weight(case):
-    # a space of one range is keyed by the kernel's outer sum alone.  It
-    # holds every profile (radix^n <= q^N), so oracle_distribution counts
-    # profile keys; a kernel built under a chunk smaller than the profiles
-    # counts weights, and it builds its outer sum on first use, here under
-    # the full chunk, so it still sums the whole space
+    # a space of one range is keyed by the outer sum alone.  It holds every
+    # profile (radix^n <= q^N), so oracle_distribution counts profile keys;
+    # a table weighed in slices, under a chunk smaller than the profiles, is
+    # the same table, and the keys built under the full chunk still sum the
+    # whole space, so counting the weights they read needs no fold
     P, pi, W = case
     total = W.q**pi.N
     want = _pwpi_histogram(P, pi, W)
@@ -710,9 +714,10 @@ def test_one_range_sweep_counts_like_pwpi_weight(case):
         res = pb.oracle_distribution(P, pi, W, threads=threads)
         assert res.histogram == want, threads
     with mock.patch.object(pb.oracle, "_CHUNK", len(set(W.table)) ** pi.n - 1):
-        kernel = pb.oracle._weigher(P, pi, W)
-    hist = kernel.count(0, total)
-    assert kernel.fold(hist) is hist
+        *_, table = profiles = pb.oracle._profiles(P, pi, W)
+    keys = pb.oracle._sweep_keys(pi, W.q, profiles, np.int64)
+    hist = np.bincount(table[keys(0, total)], minlength=pi.n * W.M_w + 1)
+    assert len(hist) == pi.n * W.M_w + 1
     assert dict(enumerate(hist.tolist())) == want
 
 
@@ -745,7 +750,7 @@ def test_profile_table_is_within_the_space_and_weighed_by_the_chunk(case):
 
     with mock.patch.object(pb.oracle, "_CHUNK", chunk), \
             mock.patch.object(pb.oracle, "_weights_from_block_weights", spy):
-        table = pb.oracle._weigher(P, pi, W).table
+        table = pb.oracle._profiles(P, pi, W)[3]
     assert len(table) == radix**pi.n <= q**pi.N
     assert max(rows) <= chunk and sum(rows) == len(table)
     # a code of each block length for each rank of block weight
