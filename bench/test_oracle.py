@@ -93,7 +93,7 @@ def test_rung(benchmark, rung):
     profiles = len(set(W.table)) ** pi.n
     benchmark.extra_info["profiles"] = profiles
     if hasattr(pb.oracle, "_profiles"):
-        table = pb.oracle._profiles(P, pi, W)[3]
+        *_, table = pb.oracle._profiles(P, pi, W)
     else:
         table = pb.oracle._weigher(P, pi, W).table
     benchmark.extra_info["table_mib"] = round(table.nbytes / 2**20, 1)

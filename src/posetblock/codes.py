@@ -371,8 +371,9 @@ def _weighted_singleton(d: int, W: WeightModel, best: list[int], rhs: int) -> tu
 
 
 def dual_code(C: LinearCode) -> LinearCode:
-    """Null space of the generator under the standard inner product.
-    linear_code raises NonPrimeError for a q that is not prime."""
+    """Null space of the generator under the standard inner product."""
+    if not _is_prime(C.q):
+        raise NonPrimeError(f"alphabet size {C.q} is not prime")
     q, n, pivots = C.q, C.n_cols, C.pivots
     free = [c for c in range(n) if c not in pivots]
     basis = []

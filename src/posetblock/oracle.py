@@ -226,12 +226,12 @@ def _profiles(
 
 
 def _sweep_keys(
-    pi: LabelMap, q: int, profiles: tuple, dtype: type
+    pi: LabelMap, q: int, ranks: list, key_places: list, dtype: type
 ) -> Callable[[int, int], np.ndarray]:
     """keys(lo, hi): the profile keys, in dtype, of the vectors with index
-    in [lo, hi), for the profiles of _profiles; the one place that keys
-    index ranges.  Its key tables are all built here, before any range is
-    keyed, so threads can share keys.
+    in [lo, hi), for the ranks and key places of _profiles; the one place
+    that keys index ranges.  Its key tables are all built here, before any
+    range is keyed, so threads can share keys.
 
     In odometer order the trailing blocks run fastest, so index
     h * span + t, with span the size of the longest suffix of blocks that
@@ -247,7 +247,6 @@ def _sweep_keys(
     keys, for at most 256 profiles, never overflow, and they cut the bytes
     the outer sums write eightfold.
     """
-    ranks, _, key_places, _ = profiles
     sizes, places = _index_places(pi, q)
     # key_tables[i] maps a block code straight to its term of the key
     key_tables = [(rank * kp).astype(dtype, copy=False) for rank, kp in zip(ranks, key_places)]
@@ -298,11 +297,11 @@ def oracle_distribution(
         raise BoundsError(f"thread count {threads} < 1")
     q = W.q
     total = _check_cap(q, pi.N, cap)
-    *_, table = profiles = _profiles(P, pi, W)
+    ranks, _, key_places, table = _profiles(P, pi, W)
     n_profiles, n_weights = len(table), pi.n * W.M_w + 1
     keyed = n_profiles <= _CHUNK  # count profile keys, else each range's weights
     byte_keys = keyed and n_profiles <= _BYTE_KEYS
-    keys = _sweep_keys(pi, q, profiles, np.uint8 if byte_keys else np.int64)
+    keys = _sweep_keys(pi, q, ranks, key_places, np.uint8 if byte_keys else np.int64)
 
     def count(lo: int, hi: int) -> np.ndarray:
         if byte_keys:
@@ -394,7 +393,7 @@ def _ball(
             [places[i] for i in inside],
         )
         return size, chunks
-    ranks, radix, key_places, table = profiles = _profiles(P, pi, W)
+    ranks, radix, key_places, table = _profiles(P, pi, W)
     in_ball = table <= radius
     keys = np.flatnonzero(in_ball)
     grouped = {}  # block length -> (codes ordered by rank, group starts)
@@ -413,7 +412,7 @@ def _ball(
         return size, _box_chunks(keys, box_sizes, key_places, groups, places)
 
     def swept() -> Iterator[np.ndarray]:
-        sweep = _sweep_keys(pi, q, profiles, np.int64)
+        sweep = _sweep_keys(pi, q, ranks, key_places, np.int64)
         for lo, hi in _ranges(total):
             yield lo + np.flatnonzero(in_ball[sweep(lo, hi)])
 

@@ -538,11 +538,19 @@ def test_dual_code():
 
 
 def test_dual_code_over_a_non_prime_alphabet():
-    # the dual's rows go through linear_code, whose prime check comes first:
-    # a code of some free columns, of none and of all of them
-    for generator, n in ([((1, 2, 3),), 3], [((1, 0), (0, 1)), 2], [(), 2]):
-        with pytest.raises(pb.NonPrimeError, match="alphabet size 4 is not prime"):
-            pb.dual_code(pb.LinearCode(q=4, n_cols=n, generator=generator))
+    # dual_code checks q before it reads the pivots or reduces mod q: a code
+    # of some free columns, of none and of all of them, a zero row, which
+    # has no pivot, and q = 0
+    rows = [
+        (4, ((1, 2, 3),), 3),
+        (4, ((1, 0), (0, 1)), 2),
+        (4, (), 2),
+        (4, ((0, 0),), 2),
+        (0, ((1, 0),), 2),
+    ]
+    for q, generator, n in rows:
+        with pytest.raises(pb.NonPrimeError, match=f"alphabet size {q} is not prime"):
+            pb.dual_code(pb.LinearCode(q=q, n_cols=n, generator=generator))
 
 
 def test_pivots_are_the_stored_echelon_pivots():

@@ -113,14 +113,14 @@ def test_kernel_with_a_block_over_a_chunk():
     pi = pb.label_map([1, 19])
     W = pb.hamming_weight(2)
     assert pb.oracle._suffix_start([2, 2**19]) == 2
-    profiles = pb.oracle._profiles(P, pi, W)
-    keys = pb.oracle._sweep_keys(pi, W.q, profiles, np.int64)
+    ranks, _, key_places, table = pb.oracle._profiles(P, pi, W)
+    keys = pb.oracle._sweep_keys(pi, W.q, ranks, key_places, np.int64)
     for lo, hi in [(0, 5), (2**19 - 3, 2**19 + 4), (2**20 - 7, 2**20)]:
         want = [
             pb.pwpi_weight(P, pi, W, [v >> (19 - c) & 1 for c in range(20)])
             for v in range(lo, hi)
         ]
-        assert profiles[3][keys(lo, hi)].tolist() == want
+        assert table[keys(lo, hi)].tolist() == want
     res = pb.oracle_distribution(P, pi, W)
     assert res.to_table().counts == pb.distribution_chain(P, pi, W).counts
 
@@ -178,7 +178,8 @@ def test_profile_box_spans_several_chunks(monkeypatch):
     pi = pb.label_map([3, 2])
     W = pb.lee_weight(3)
     monkeypatch.setattr(pb.oracle, "_CHUNK", 8)
-    assert len(pb.oracle._profiles(P, pi, W)[3]) == 4
+    *_, table = pb.oracle._profiles(P, pi, W)
+    assert len(table) == 4
     size, chunks = pb.oracle._ball(P, pi, W, radius=1)
     assert size == 1 + 26 + 8 and len(list(chunks)) == 5
     for rows in ([[1, 2, 0, 1, 1]], [[1, 0, 0, 2, 1], [0, 0, 1, 1, 1]]):

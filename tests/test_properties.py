@@ -583,11 +583,34 @@ def test_kernel_weighs_every_range_like_pwpi_weight(case):
     sizes = [W.q**k for k in pi.k]
     with mock.patch.object(pb.oracle, "_CHUNK", chunk):
         assert pb.oracle._suffix_start(sizes) == start
-        profiles = pb.oracle._profiles(P, pi, W)
-        keys = pb.oracle._sweep_keys(pi, W.q, profiles, np.int64)
+        ranks, _, key_places, table = pb.oracle._profiles(P, pi, W)
+        keys = pb.oracle._sweep_keys(pi, W.q, ranks, key_places, np.int64)
         for lo, hi in ranges:
             want = [pb.pwpi_weight(P, pi, W, _vector(v, W.q, pi.N)) for v in range(lo, hi)]
-            assert profiles[3][keys(lo, hi)].tolist() == want, (lo, hi)
+            assert table[keys(lo, hi)].tolist() == want, (lo, hi)
+
+
+def _counted_distribution(P, pi, W, threads, key_counts):
+    """oracle_distribution(P, pi, W, threads=threads), checking the path it
+    counts by: one np.bincount per range, of profile keys when key_counts
+    (uint8 pairs in 256 bins per profile, by _count_byte_keys, for at most
+    256 profiles, else int64 keys in one bin per profile), or else of
+    weights, in n * M_w + 1 bins."""
+    n_ranges = len(pb.oracle._ranges(W.q**pi.N))
+    n_table = len(set(W.table)) ** pi.n
+    byte_keys = key_counts and n_table <= 256
+    if not key_counts:
+        bins = pi.n * W.M_w + 1
+    else:
+        bins = 256 * n_table if byte_keys else n_table
+    counted = mock.Mock(wraps=np.bincount)
+    paired = mock.Mock(wraps=pb.oracle._count_byte_keys)
+    with mock.patch.object(np, "bincount", counted), \
+            mock.patch.object(pb.oracle, "_count_byte_keys", paired):
+        res = pb.oracle_distribution(P, pi, W, threads=threads)
+    assert [c.kwargs["minlength"] for c in counted.call_args_list] == [bins] * n_ranges
+    assert paired.call_count == (n_ranges if byte_keys else 0)
+    return res
 
 
 @st.composite
@@ -627,14 +650,12 @@ def test_sweep_counts_like_pwpi_weight(case):
     total = W.q**pi.N
     want = _pwpi_histogram(P, pi, W)
     with mock.patch.object(pb.oracle, "_CHUNK", chunk):
-        profiles = pb.oracle._profiles(P, pi, W)
-        keys = pb.oracle._sweep_keys(pi, W.q, profiles, np.int64)
-        # the table fits a chunk, so ranges count profile keys, or it does not
-        assert (len(profiles[3]) <= chunk) == key_counts
+        ranks, _, key_places, _ = pb.oracle._profiles(P, pi, W)
+        keys = pb.oracle._sweep_keys(pi, W.q, ranks, key_places, np.int64)
         assert len(keys(0, chunk)) == chunk
         assert len(pb.oracle._ranges(total)) > 1
         for threads in (1, 2):
-            res = pb.oracle_distribution(P, pi, W, threads=threads)
+            res = _counted_distribution(P, pi, W, threads, key_counts)
             assert res.histogram == want, threads
             assert res.total == total
 
@@ -679,10 +700,11 @@ def test_odd_chunk_sweep_counts_like_pwpi_weight(case):
     paired = mock.Mock(wraps=pb.oracle._count_byte_keys)
     with mock.patch.object(pb.oracle, "_CHUNK", chunk), \
             mock.patch.object(pb.oracle, "_count_byte_keys", paired):
-        assert len(pb.oracle._profiles(P, pi, W)[3]) <= chunk
+        *_, table = pb.oracle._profiles(P, pi, W)
+        assert len(table) <= chunk
         assert len(pb.oracle._ranges(total)) > 1
         for threads in (1, 2):
-            res = pb.oracle_distribution(P, pi, W, threads=threads)
+            res = _counted_distribution(P, pi, W, threads, key_counts=True)
             assert res.histogram == want, threads
     assert paired.called == byte_keys
 
@@ -711,11 +733,11 @@ def test_one_range_sweep_counts_like_pwpi_weight(case):
     assert pb.oracle._ranges(total) == [(0, total)]
     assert pb.oracle._suffix_start([W.q**k for k in pi.k]) == 0
     for threads in (1, 2):
-        res = pb.oracle_distribution(P, pi, W, threads=threads)
+        res = _counted_distribution(P, pi, W, threads, key_counts=True)
         assert res.histogram == want, threads
     with mock.patch.object(pb.oracle, "_CHUNK", len(set(W.table)) ** pi.n - 1):
-        *_, table = profiles = pb.oracle._profiles(P, pi, W)
-    keys = pb.oracle._sweep_keys(pi, W.q, profiles, np.int64)
+        ranks, _, key_places, table = pb.oracle._profiles(P, pi, W)
+    keys = pb.oracle._sweep_keys(pi, W.q, ranks, key_places, np.int64)
     hist = np.bincount(table[keys(0, total)], minlength=pi.n * W.M_w + 1)
     assert len(hist) == pi.n * W.M_w + 1
     assert dict(enumerate(hist.tolist())) == want
@@ -750,7 +772,7 @@ def test_profile_table_is_within_the_space_and_weighed_by_the_chunk(case):
 
     with mock.patch.object(pb.oracle, "_CHUNK", chunk), \
             mock.patch.object(pb.oracle, "_weights_from_block_weights", spy):
-        table = pb.oracle._profiles(P, pi, W)[3]
+        *_, table = pb.oracle._profiles(P, pi, W)
     assert len(table) == radix**pi.n <= q**pi.N
     assert max(rows) <= chunk and sum(rows) == len(table)
     # a code of each block length for each rank of block weight
